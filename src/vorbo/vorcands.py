@@ -8,17 +8,29 @@ the locations the design is least sure about, away from every evaluated
 point in every direction.
 
 Rather than constructing the tessellation (hopeless beyond a few
-dimensions), candidates are found by a bisection walk.  A walk starts at a
-design point x_n, picks a direction u, and bisects on t in [0, 1] with the
-predicate "the nearest design point of x_n + t*u is still x_n".  Cells are
-star-shaped around their design point under the metrics used here, so the
-predicate is monotone in t and after K rounds the walk brackets the cell
-boundary within 2^-K.  Probes are evaluated where they land, outside the
-unit cube included -- nearest-neighbour identity is well defined on all of
-R^P -- so the walk tracks the true cell face even when that face lies beyond
-a cube wall.  All walks in a batch share each round's nearest-neighbour
-query, so a batch costs exactly K batched queries however many candidates
-it produces.
+dimensions), candidates are found by walks.  A walk starts at a design
+point a = x_n, picks a direction u, and looks for the first t in [0, 1] at
+which a + t*u leaves the cell of x_n.  Cells are star-shaped around their
+design point under the metrics used here, so "a + t*u is still in the cell"
+is monotone in t.  The walk finds the crossing by blocker-shooting: it
+probes at t = 1, and while the probe's nearest design point x_j (ties to the
+smaller index, as in `nn_index`) is not x_n, it jumps t to the exact
+crossing of the bisector of x_n and x_j with the ray (closed form under L2
+and L-inf, a scalar bisection under L1).  Each jump costs one
+nearest-neighbour query, and a walk typically needs a handful.  Probes are
+evaluated where they land, outside the unit cube included --
+nearest-neighbour identity is well defined on all of R^P -- so the walk
+tracks the true cell face even when that face lies beyond a cube wall.  All
+live walks of a batch share each round's batched query.
+
+Each crossing t* is then certified as a bracket [t* - 2^-(K+1), t* +
+2^-(K+1)] of width 2^-K: two more batched queries check that the lower
+end is still owned by the origin and the upper end is not.  A lower end
+owned by another point names a blocker the shooting missed, and the walk
+jumps on to that point's crossing.  A walk that still fails (rounding left its upper
+end in the cell, or the bracket would reach past t = 0 or t = 1) reruns the
+K-round bisection on the owner predicate, the single fallback path, and is
+flagged `uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
 whose full step never leaves its origin's cell is flagged `boundary_hit`:
@@ -40,8 +52,13 @@ from . import nn_index
 from .metrics import Metric, distance
 from .sampling import lhs, sphere_direction
 
-#: Bisection rounds per walk; brackets the boundary within 2^-30 ~ 1e-9.
+#: Walks bracket the boundary within 2^-30 ~ 1e-9; the fallback bisection
+#: takes this many rounds.
 BISECTION_ITERS = 30
+
+#: Halvings of [0, 1] in the scalar L1 crossing search: 2^-64 is far below
+#: the half bracket 2^-(K+1), so the search error never reaches certification.
+_L1_CROSSING_ITERS = 64
 
 #: Directions are scaled to sqrt(P) * (1 + _NORM_SLACK) so their norm lands
 #: strictly past sqrt(P) rather than exactly on it.
@@ -86,19 +103,21 @@ class WalkBatch:
 class CandidateSet:
     """Walk results.
 
-    `t_lower` and `directions` describe the final bisection bracket
+    `t_lower` and `directions` describe the final bracket
     [t_lower, t_lower + bracket_width] of the underlying walk; `points` holds
     the clamped bracket midpoints, except that the sampling wrappers replace
     face-touching candidates by the point halfway back to their origin.
     `boundary_hit` marks walks whose full step never left the origin's cell
-    (the bracket never closed), and is kept through the halfway pull as a
-    diagnostic.
+    (the bracket never closed), and `uncertified` marks walks whose shot
+    bracket failed certification and were bisected instead; both are kept
+    through the halfway pull as diagnostics.
     """
 
     points: np.ndarray
     boundary_hit: np.ndarray
+    uncertified: np.ndarray
     origin: np.ndarray
-    bracket_width: np.ndarray
+    bracket_width: float
     t_lower: np.ndarray
     directions: np.ndarray
 
@@ -115,46 +134,163 @@ def _as_design(design: np.ndarray) -> np.ndarray:
     return design
 
 
+def _bisect(
+    index: nn_index.NnIndex,
+    anchors: np.ndarray,
+    directions: np.ndarray,
+    origins: np.ndarray,
+    iters: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect on t in [0, 1] with the owner predicate; the final (t_lo, t_hi)."""
+    t_lo = np.zeros(origins.shape[0])
+    t_hi = np.ones(origins.shape[0])
+    for _ in range(iters):
+        mid = 0.5 * (t_lo + t_hi)
+        ok = nn_index.nearest_batch(index, anchors + mid[:, None] * directions) == origins
+        t_lo[ok] = mid[ok]
+        t_hi[~ok] = mid[~ok]
+    return t_lo, t_hi
+
+
+def _crossing(
+    metric: Metric,
+    anchors: np.ndarray,
+    directions: np.ndarray,
+    blockers: np.ndarray,
+    strict: np.ndarray,
+) -> np.ndarray:
+    """Where each ray a + t*u leaves the side of the bisector of a and x nearer a.
+
+    By the triangle inequality g(t) = d(a + t*u, x) - d(a + t*u, a) is
+    non-increasing in t under every norm.  Ties belong to the smaller index
+    (as in `nn_index`), so the walk leaves at the largest t with g(t) > 0
+    where `strict` (x has the smaller index) and g(t) >= 0 elsewhere; the
+    two differ where g stays 0 over an interval, as under L-inf when x and
+    a share the coordinate u is longest in.  Infinite: the walk never leaves.
+    """
+    w = blockers - anchors
+    if metric is Metric.L2:
+        # g >= 0  <=>  |w|^2 - 2 t u.w >= 0, which is 0 at a single t
+        uw = (directions * w).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return np.where(uw > 0.0, (w * w).sum(axis=1) / (2.0 * uw), np.inf)
+    if metric is Metric.LINF:
+        # g >= 0  <=>  |t*u_i - w_i| >= t*m for some i, m = max|u|: a union
+        # of the 2P intervals t <= -w_i / (m - u_i) and t <= w_i / (m + u_i);
+        # a 0 / 0 bound (w_i = 0, |u_i| = m) gives g_i = 0 for every t
+        m = np.abs(directions).max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds = np.concatenate([-w / (m - directions), w / (m + directions)], axis=1)
+        bounds = np.where(np.isnan(bounds), np.where(strict, -np.inf, np.inf)[:, None], bounds)
+        return bounds.max(axis=1)
+
+    # L1: bisect g on [0, 1] alone, which needs no nearest-neighbour query
+    def keeps_origin(t: np.ndarray) -> np.ndarray:
+        probes = anchors + t[:, None] * directions
+        d_blocker = distance(metric, probes, blockers)
+        d_origin = distance(metric, probes, anchors)
+        return np.where(strict, d_blocker > d_origin, d_blocker >= d_origin)
+
+    lo = np.zeros(anchors.shape[0])
+    hi = np.ones(anchors.shape[0])
+    for _ in range(_L1_CROSSING_ITERS):
+        mid = 0.5 * (lo + hi)
+        ok = keeps_origin(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return np.where(keeps_origin(np.ones_like(lo)), 1.0, lo)
+
+
+def _bracket(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket ends around crossings t; t = 1 (the walk never left) gives [1 - width, 1]."""
+    t_lo = np.where(t == 1.0, 1.0 - width, t - 0.5 * width)
+    return t_lo, t_lo + width
+
+
 def vorwalk(design: np.ndarray, batch: WalkBatch, metric: Metric) -> CandidateSet:
-    """Run a batch of bisection walks against `design` under `metric`.
+    """Run a batch of walks against `design` under `metric`.
 
-    Each walk c starts at ``design[batch.origins[c]]`` and bisects along
-    ``batch.directions[c]`` for ``batch.bisection_iters`` rounds, issuing one
-    batched nearest-neighbour query per round for the whole batch.  A probe
-    succeeds while its nearest design point is still the walk's origin;
-    probes are taken where they land, outside the cube included.  The
-    returned points are the final bracket midpoints, clamped to the cube.
+    Each walk c starts at ``design[batch.origins[c]]`` and shoots along
+    ``batch.directions[c]`` from t = 1: each round queries the nearest
+    design point of every live probe (one batched query), a walk whose
+    origin owns its probe is done, and any other jumps t to the crossing of
+    its blocker's bisector with the ray.  A crossing does not depend on t,
+    so t falls strictly and no blocker is visited twice; a walk also stops
+    when the crossing does not lower t (rounding can leave the blocker
+    nearer at its own crossing).
 
-    A candidate is flagged `boundary_hit` when every probe succeeded, i.e.
-    the origin's cell never ended within the full step.  Directions scaled
-    past the cube's own extent (as the sampling wrappers do) make such a
-    step exit the cube, so flagged candidates sit pinned on a cube face.
+    With K = ``batch.bisection_iters``, the final crossing t* becomes the
+    bracket [t* - 2^-(K+1), t* + 2^-(K+1)], certified by two batched
+    queries: the origin must own the lower end, and then not the upper end.
+    A lower end owned by another design point names a blocker the shooting
+    missed (near a cell vertex, or behind a tie); the walk jumps to that
+    blocker's crossing, shoots on, and is certified again.  Walks that
+    still fail rerun a K-round bisection on the owner predicate and are
+    flagged `uncertified`.  The returned points are the bracket midpoints,
+    clamped to the cube.
+
+    A candidate is flagged `boundary_hit` when the origin's cell never
+    ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
+    would give.  Directions scaled past the cube's own extent (as the
+    sampling wrappers do) make such a step exit the cube, so flagged
+    candidates sit pinned on a cube face.
     """
     design = _as_design(design)
     batch.validate(design)
     index = nn_index.build(design, metric)
+    origins, directions = batch.origins, batch.directions
+    anchors = design[origins]
+    width = 0.5**batch.bisection_iters
+    t = np.ones(len(origins))
+    certified = np.zeros(len(origins), dtype=bool)
 
-    count = batch.origins.shape[0]
-    anchors = design[batch.origins]
-    t_lo = np.zeros(count)
-    t_hi = np.ones(count)
+    def jump(walks: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Move each walk `owner` blocks to that point's crossing; the walks moved."""
+        blocked = owner != origins[walks]
+        walks, owner = walks[blocked], owner[blocked]
+        cross = _crossing(
+            metric, anchors[walks], directions[walks], design[owner], owner < origins[walks]
+        )
+        moved = cross < t[walks]
+        t[walks[moved]] = cross[moved]
+        return walks[moved]
 
-    for _ in range(batch.bisection_iters):
-        mid = 0.5 * (t_lo + t_hi)
-        probes = anchors + mid[:, None] * batch.directions
-        ok = nn_index.nearest_batch(index, probes) == batch.origins
-        t_lo[ok] = mid[ok]
-        t_hi[~ok] = mid[~ok]
+    todo = np.arange(len(origins))
+    while todo.size:
+        live = todo
+        while live.size:
+            probes = anchors[live] + t[live, None] * directions[live]
+            live = jump(live, nn_index.nearest_batch(index, probes))
+        # certify: the origin owns every lower end, and no closed upper end
+        t_lo, t_hi = _bracket(t[todo], width)
+        probes = anchors[todo] + t_lo[:, None] * directions[todo]
+        lo_owner = nn_index.nearest_batch(index, probes)
+        ok = lo_owner == origins[todo]
+        up = np.flatnonzero(ok & (t[todo] < 1.0))
+        if up.size:
+            walks = todo[up]
+            probes = anchors[walks] + t_hi[up, None] * directions[walks]
+            hi_owner = nn_index.nearest_batch(index, probes)
+            ok[up] = (hi_owner != origins[walks]) & (t_lo[up] >= 0.0) & (t_hi[up] < 1.0)
+        certified[todo] = ok
+        todo = jump(todo, lo_owner)
+
+    t_lo, t_hi = _bracket(t, width)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        t_lo[redo], t_hi[redo] = _bisect(
+            index, anchors[redo], directions[redo], origins[redo], batch.bisection_iters
+        )
 
     mid = 0.5 * (t_lo + t_hi)
-    points = np.clip(anchors + mid[:, None] * batch.directions, 0.0, 1.0)
     return CandidateSet(
-        points=points,
+        points=np.clip(anchors + mid[:, None] * directions, 0.0, 1.0),
         boundary_hit=t_hi == 1.0,
-        origin=batch.origins.copy(),
-        bracket_width=np.full(count, 0.5**batch.bisection_iters),
+        uncertified=~certified,
+        origin=origins.copy(),
+        bracket_width=width,
         t_lower=t_lo,
-        directions=batch.directions.copy(),
+        directions=directions.copy(),
     )
 
 

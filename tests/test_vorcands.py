@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import Voronoi
 
 from vorbo import nn_index, vorcands
 from vorbo.metrics import Metric, distance
@@ -28,6 +29,10 @@ def _brute_owner(design: np.ndarray, q: np.ndarray, metric: Metric) -> int:
     return int(np.flatnonzero(d == d.min())[0])
 
 
+#: The unpatched query, for tests that count vorwalk's calls.
+real_nearest = nn_index.nearest_batch
+
+
 def _random_batch(design, count, rng):
     n, dim = design.shape
     scale = np.sqrt(dim) * (1 + 1e-9)
@@ -45,7 +50,7 @@ def test_1d_equidistant_midpoint():
     cs = vorwalk(design, batch, Metric.L2)
     assert cs.points[0, 0] == pytest.approx(0.5, abs=1e-8)
     assert not cs.boundary_hit[0]
-    assert cs.bracket_width[0] == 0.5**BISECTION_ITERS
+    assert cs.bracket_width == 0.5**BISECTION_ITERS
 
 
 def test_1d_wall_hit():
@@ -97,7 +102,7 @@ def test_equidistance_of_interior_candidates(metric):
     # moving the step by one bracket width moves every distance by at most
     # the direction's length under the same metric
     for c in np.flatnonzero(interior):
-        tol = 2.0 * cs.bracket_width[c] * distance(metric, np.zeros(10), cs.directions[c])
+        tol = 2.0 * cs.bracket_width * distance(metric, np.zeros(10), cs.directions[c])
         d_all = distance(metric, design, cs.points[c][None, :])
         d_origin = d_all[cs.origin[c]]
         others = np.delete(d_all, cs.origin[c])
@@ -141,23 +146,117 @@ def test_star_convexity_of_prefix():
                 assert _brute_owner(design, probe, metric) == cs.origin[c]
 
 
-def test_exactly_k_batched_nn_calls(monkeypatch):
-    calls = {"n": 0}
-    real = nn_index.nearest_batch
+@pytest.fixture
+def nn_rows(monkeypatch):
+    """Rows of every batched nearest-neighbour query vorwalk makes, in order."""
+    rows = []
 
     def counting(index, queries):
-        calls["n"] += 1
-        return real(index, queries)
+        rows.append(len(queries))
+        return real_nearest(index, queries)
 
     monkeypatch.setattr(vorcands.nn_index, "nearest_batch", counting)
+    return rows
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_nn_queries_of_a_hand_checked_walk(metric, nn_rows):
+    # from 0 toward 1: the probe at t=1 is blocked by 1, the jump to the
+    # bisector at 0.5 is confirmed by a second query, and one query per end
+    # certifies the bracket
+    design = np.array([[0.0], [1.0]])
+    batch = WalkBatch(origins=np.array([0]), directions=np.array([[1.0 + 1e-9]]))
+    cs = vorwalk(design, batch, metric)
+    assert nn_rows == [1, 1, 1, 1]
+    assert not cs.uncertified[0] and not cs.boundary_hit[0]
+    assert cs.t_lower[0] < 0.5 / (1.0 + 1e-9) < cs.t_lower[0] + cs.bracket_width
+
+
+def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
+    # origin 2 and point 1 share the coordinate the ray is longest in, so
+    # under L-inf they tie (and 1 owns the tie) from t = 1/3 on.  Shooting
+    # first stops at t = 0.375, on point 0's bisector, where all three tie
+    # and the query names 0; the lower end's query names 1, and one more
+    # jump lands on the cell boundary at 1/3, where both ends certify
+    design = np.array([[0.95, 0.3], [0.5, 0.2], [0.5, 0.5]])
+    batch = WalkBatch(origins=np.array([2]), directions=np.array([[0.6, -0.3]]))
+    cs = vorwalk(design, batch, Metric.LINF)
+    assert nn_rows == [1, 1, 1, 1, 1, 1]
+    assert not cs.uncertified[0] and not cs.boundary_hit[0]
+    lo = design[2] + cs.t_lower[0] * batch.directions[0]
+    hi = design[2] + (cs.t_lower[0] + cs.bracket_width) * batch.directions[0]
+    assert _brute_owner(design, lo, Metric.LINF) == 2
+    assert _brute_owner(design, hi, Metric.LINF) == 1
+    np.testing.assert_allclose(cs.points[0], [0.7, 0.4], atol=1e-9)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("k", [7, 30])
+def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_rows):
     rng = np.random.default_rng(103)
     design = rng.random((20, 5))
-    for k in (1, 7, 30):
-        calls["n"] = 0
-        batch = _random_batch(design, 64, rng)
-        batch.bisection_iters = k
-        vorwalk(design, batch, Metric.LINF)
-        assert calls["n"] == k
+    batch = _random_batch(design, 64, rng)
+    batch.bisection_iters = k
+    cs = vorwalk(design, batch, metric)
+    assert not cs.uncertified.any()
+    # each shooting round queries only the live walks, so rows never grow;
+    # the last two queries certify every lower end and every closed upper end
+    *rounds, lower, upper = nn_rows
+    assert rounds[0] == 64 and all(a >= b for a, b in zip(rounds, rounds[1:]))
+    assert len(rounds) <= design.shape[0] + 1
+    assert (lower, upper) == (64, (~cs.boundary_hit).sum())
+    assert sum(nn_rows) <= 6 * 64  # 30 rows per walk under bisection
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("scale", [np.inf, 0.5])
+def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, monkeypatch):
+    # scaling every crossing by inf stops each walk at t = 1, where walks
+    # that really leave their cell fail the lower end's check; scaling by
+    # 0.5 stops them inside the cell, where the upper end's check fails.
+    # Either way exactly the walks that leave their cell are bisected
+    real_crossing = vorcands._crossing
+    monkeypatch.setattr(vorcands, "_crossing", lambda *args: scale * real_crossing(*args))
+    rng = np.random.default_rng(103)
+    design = rng.random((20, 5))
+    batch = _random_batch(design, 64, rng)
+    cs = vorwalk(design, batch, metric)
+
+    index = nn_index.build(design, metric)
+    anchors = design[batch.origins]
+    t_lo, t_hi = np.zeros(64), np.ones(64)
+    for _ in range(BISECTION_ITERS):
+        mid = 0.5 * (t_lo + t_hi)
+        ok = real_nearest(index, anchors + mid[:, None] * batch.directions) == batch.origins
+        t_lo[ok] = mid[ok]
+        t_hi[~ok] = mid[~ok]
+    points = np.clip(anchors + (0.5 * (t_lo + t_hi))[:, None] * batch.directions, 0.0, 1.0)
+    wall = t_hi == 1.0
+
+    assert 0 < wall.sum() < 64
+    np.testing.assert_array_equal(cs.uncertified, ~wall)
+    np.testing.assert_array_equal(cs.t_lower, t_lo)
+    np.testing.assert_array_equal(cs.points, points)
+    np.testing.assert_array_equal(cs.boundary_hit, wall)
+    # the fallback makes exactly K bisection calls over the failed walks
+    assert nn_rows[-BISECTION_ITERS:] == [(~wall).sum()] * BISECTION_ITERS
+    if scale == np.inf:  # before it: one shooting round and the lower ends' query
+        assert nn_rows[:-BISECTION_ITERS] == [64, 64]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_l2_walk_points_lie_on_qhull_ridges(dim):
+    rng = np.random.default_rng(106)
+    design = rng.random((40, dim))
+    cs = vorwalk(design, _random_batch(design, 300, rng), Metric.L2)
+    ridges = {frozenset(pair) for pair in Voronoi(design).ridge_points.tolist()}
+    interior = ~cs.boundary_hit & (cs.points > 0.0).all(axis=1) & (cs.points < 1.0).all(axis=1)
+    assert interior.sum() > 100
+    d = distance(Metric.L2, design[None, :, :], cs.points[:, None, :])
+    for c in np.flatnonzero(interior):
+        first, second = np.argsort(d[c], kind="stable")[:2]
+        assert cs.origin[c] in (first, second)
+        assert frozenset((first, second)) in ridges
 
 
 def test_walk_points_always_inside_cube():
@@ -179,7 +278,9 @@ def test_determinism_bit_identical():
     design = np.random.default_rng(7).random((40, 8))
     a = direct_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
     b = direct_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
-    for field in ("points", "boundary_hit", "origin", "bracket_width", "t_lower", "directions"):
+    for field in (
+        "points", "boundary_hit", "uncertified", "origin", "bracket_width", "t_lower", "directions"
+    ):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
