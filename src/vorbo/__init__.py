@@ -1,54 +1,3 @@
 """Bayesian optimization with candidates on implicit Voronoi-cell boundaries."""
 
 __version__ = "0.1.0"
-
-from .acquisition import AcqResult, argmax_discrete, ei, ei_values, multistart_opt
-from .bench import TestProblem, make_problem
-from .driver import ExperimentConfig, TrajectoryRecord, run_bo, run_suite
-from .gp import FitConfig, GpHyper, GpModel, SurrogateFitError, fit, predict
-from .metrics import Metric, cube_diameter, distance
-from .sampling import lhs, sobol, sphere_direction
-from .vorcands import (
-    CandidateSet,
-    WalkBatch,
-    boundary_proportion,
-    direct_sample,
-    halfway_rule,
-    project_sample,
-    scheme_final,
-    vorwalk,
-)
-
-__all__ = [
-    "AcqResult",
-    "CandidateSet",
-    "ExperimentConfig",
-    "FitConfig",
-    "GpHyper",
-    "GpModel",
-    "Metric",
-    "SurrogateFitError",
-    "TestProblem",
-    "TrajectoryRecord",
-    "WalkBatch",
-    "argmax_discrete",
-    "boundary_proportion",
-    "cube_diameter",
-    "direct_sample",
-    "distance",
-    "ei",
-    "ei_values",
-    "fit",
-    "halfway_rule",
-    "lhs",
-    "make_problem",
-    "multistart_opt",
-    "predict",
-    "project_sample",
-    "run_bo",
-    "run_suite",
-    "scheme_final",
-    "sobol",
-    "sphere_direction",
-    "vorwalk",
-]

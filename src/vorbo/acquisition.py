@@ -24,9 +24,6 @@ from .vorcands import CandidateSet
 #: Predictive sds at or below this are treated as exactly zero in EI.
 SD_FLOOR = 1e-10
 
-#: Step for the finite-difference fallback of the EI gradient.
-_FD_STEP = 1e-6
-
 
 @dataclass
 class AcqResult:
@@ -56,31 +53,19 @@ def ei(model: gp.GpModel, queries: np.ndarray, y_min: float) -> np.ndarray:
 
 
 def ei_grad(model: gp.GpModel, query: np.ndarray, y_min: float) -> np.ndarray:
-    """Analytic EI gradient at one point, with a finite-difference fallback.
+    """Analytic EI gradient at one point.
 
     dEI/dmu = -Phi(z) and dEI/dsigma = phi(z), chained through the predictive
-    moment gradients.  Non-finite analytic output (extreme z, vanishing sd)
-    triggers central differences on ei itself.
+    moment gradients; at a numerically zero sd, the gradient of the
+    deterministic improvement max(y_min - mu, 0).
     """
     query = np.asarray(query, dtype=float).reshape(-1)
     mean, sd = gp.predict(model, query[None, :])
     dmean, dsd = gp.predict_grad(model, query)
     if sd[0] > SD_FLOOR:
         z = (y_min - mean[0]) / sd[0]
-        grad = -norm.cdf(z) * dmean + norm.pdf(z) * dsd
-    else:
-        grad = -dmean if mean[0] < y_min else np.zeros_like(query)
-    if np.isfinite(grad).all():
-        return grad
-    out = np.empty_like(query)
-    for p in range(query.size):
-        step = np.zeros_like(query)
-        step[p] = _FD_STEP
-        out[p] = (
-            ei(model, (query + step)[None, :], y_min)[0]
-            - ei(model, (query - step)[None, :], y_min)[0]
-        ) / (2.0 * _FD_STEP)
-    return out
+        return -norm.cdf(z) * dmean + norm.pdf(z) * dsd
+    return -dmean if mean[0] < y_min else np.zeros_like(query)
 
 
 def argmax_discrete(
@@ -100,26 +85,19 @@ def multistart_opt(
     y_min: float,
     incumbent: np.ndarray,
     rng: np.random.Generator,
-    n_starts: int | None = None,
 ) -> AcqResult:
     """Continuous EI maximization: box-constrained quasi-Newton from many starts.
 
-    Starts are `n_starts - 1` Latin hypercube points plus the incumbent
-    (default n_starts = 2P + 1).  Each start runs a bounded local ascent with
-    the analytic gradient (max 200 iterations, projected-gradient tolerance
-    1e-8); the best terminal point across starts wins, falling back to the
-    best start itself if no ascent improves on it.  `evaluations` counts EI
-    evaluations, gradient calls included.
+    The 2P + 1 starts are the incumbent and 2P Latin hypercube points.  Each
+    start runs a bounded local ascent with the analytic gradient (max 200
+    iterations, projected-gradient tolerance 1e-8); the best terminal point
+    across starts wins, falling back to the best start itself if no ascent
+    improves on it.  `evaluations` counts EI evaluations, gradient calls
+    included.
     """
     dim = model.design.shape[1]
     incumbent = np.asarray(incumbent, dtype=float).reshape(-1)
-    if n_starts is None:
-        n_starts = 2 * dim + 1
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    starts = [incumbent]
-    if n_starts > 1:
-        starts.extend(lhs(n_starts - 1, dim, rng).points)
+    starts = [incumbent, *lhs(2 * dim, dim, rng)]
 
     evals = 0
 

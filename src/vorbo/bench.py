@@ -72,6 +72,16 @@ _NATIVE_FUNCS = {
 }
 
 
+def check_problem(name: str, dim: int) -> None:
+    """Raise ValueError unless `name` is a built-in problem defined at `dim`."""
+    if name not in PROBLEM_NAMES:
+        raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if name == "sinesum2d" and dim != 2:
+        raise ValueError(f"sinesum2d is a 2-D problem, got dim={dim}")
+
+
 def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
     """Build a problem on [0,1]^dim.
 
@@ -80,13 +90,7 @@ def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
     `sinesum2d` is defined only for dim=2.  Evaluate accepts a single point
     or a batch (leading axes broadcast) of unit-cube coordinates.
     """
-    if name not in PROBLEM_NAMES:
-        raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if name == "sinesum2d" and dim != 2:
-        raise ValueError(f"sinesum2d is a 2-D problem, got dim={dim}")
-
+    check_problem(name, dim)
     lo, hi = NATIVE_DOMAINS[name]
     func = _NATIVE_FUNCS[name]
     shift = rng.random(dim) if name == "ackley" else None

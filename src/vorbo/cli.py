@@ -10,33 +10,27 @@ problems        list built-in test problems
 Every file-writing subcommand also writes a `<out>.meta.json` sidecar with
 the full effective configuration, seeds, and package version (never
 timestamps, so identical invocations produce identical files).  For `run`,
-values may come from a flat `key = value` config file via --config; explicit
-flags override file values.
+values may come from a flat `key = value` config file via --config, keyed by
+flag name with underscores (`n_init = 12`, `timing = false` for --no-timing).
+Each file value is parsed and checked as its flag is, and explicit flags
+override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bench import NATIVE_DOMAINS, PROBLEM_NAMES, make_problem
-from .driver import METHODS, ExperimentConfig, run_suite
+from .driver import METHODS, ExperimentConfig, _fmt, _write_lines, run_suite
 from .metrics import Metric
 from .sampling import lhs, sobol
 from .vorcands import STRATEGIES, boundary_proportion, scheme_final
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
@@ -54,40 +48,9 @@ def _bool_from_str(v: str) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-#: Config-file keys for `run`, with parsers; every key mirrors a CLI flag.
-_RUN_KEYS = {
-    "problem": str,
-    "dim": int,
-    "budget": int,
-    "method": str,
-    "reps": int,
-    "seed": int,
-    "n_init": int,
-    "candidates": int,
-    "refit_until": int,
-    "refit_every": int,
-    "out": str,
-    "jobs": int,
-    "include_x": _bool_from_str,
-    "timing": _bool_from_str,
-}
-
-_RUN_DEFAULTS = {
-    "method": "vor",
-    "reps": 1,
-    "seed": 0,
-    "n_init": None,
-    "candidates": None,
-    "refit_until": 200,
-    "refit_every": 25,
-    "jobs": 1,
-    "include_x": True,
-    "timing": True,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_argv(path: str, settings: dict[str, argparse.Action]) -> list[str]:
+    """A flat `key = value` file as `run` flags; each key is a flag's dest."""
+    argv = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -97,58 +60,38 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in _RUN_KEYS:
+                key, val = key.strip(), val.strip()
+                if key not in settings:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _RUN_KEYS[key](val.strip())
+                flag = settings[key]
+                if flag.nargs != 0:
+                    argv.append(f"{flag.option_strings[0]}={val}")
+                elif _bool_from_str(val) == flag.const:  # --no-x, --no-timing take no value
+                    argv.append(flag.option_strings[0])
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _effective_run_settings(args: argparse.Namespace) -> dict:
-    eff = dict(_RUN_DEFAULTS)
-    if args.config:
-        eff.update(_read_config_file(args.config))
-    for key in _RUN_KEYS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            eff[key] = flag_val
-    if args.no_x:
-        eff["include_x"] = False
-    if args.no_timing:
-        eff["timing"] = False
-    for required in ("problem", "dim", "budget", "out"):
-        if eff.get(required) is None:
-            raise ValueError(f"missing required setting: {required}")
-    return eff
+    return argv
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    eff = _effective_run_settings(args)
-    seeds = tuple(range(eff["seed"], eff["seed"] + eff["reps"]))
+    settings = {name: getattr(args, name) for name in args.settings}
+    for required in ("problem", "dim", "budget", "out"):
+        if settings[required] is None:
+            raise ValueError(f"missing required setting: {required}")
+    seeds = tuple(range(settings["seed"], settings["seed"] + settings["reps"]))
     config = ExperimentConfig(
-        problem=eff["problem"],
-        dim=eff["dim"],
-        budget=eff["budget"],
-        methods=tuple(m.strip() for m in eff["method"].split(",") if m.strip()),
+        methods=tuple(m.strip() for m in settings["method"].split(",") if m.strip()),
         seeds=seeds,
-        n_init=eff["n_init"],
-        n_candidates=eff["candidates"],
-        refit_until=eff["refit_until"],
-        refit_every=eff["refit_every"],
-        out=eff["out"],
-        include_x=eff["include_x"],
-        timing=eff["timing"],
-        jobs=eff["jobs"],
+        n_candidates=settings["candidates"],
+        # every other setting has the name of its ExperimentConfig field
+        **{k: v for k, v in settings.items() if k not in ("method", "seed", "reps", "candidates")},
     )
-    config.validate()
     _, failures = run_suite(config)
 
     meta = {
         "command": "run",
         "version": __version__,
-        "settings": {k: eff[k] for k in sorted(eff)},
+        "settings": settings,
         "seeds": list(seeds),
         "failures": [{"method": m, "seed": s, "error": e} for m, s, e in failures],
     }
@@ -226,7 +169,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         if args.dim is None:
             raise ValueError("either --design or --dim is required")
         dim = args.dim
-        design = lhs(args.n, dim, np.random.default_rng([args.seed])).points
+        design = lhs(args.n, dim, np.random.default_rng([args.seed]))
 
     if args.scheme == "vor":
         points = scheme_final(
@@ -237,9 +180,9 @@ def cmd_candidates(args: argparse.Namespace) -> int:
             np.random.default_rng([args.seed, args.iteration]),
         ).points
     elif args.scheme == "lhs":
-        points = lhs(args.count, dim, np.random.default_rng([args.seed, args.iteration])).points
+        points = lhs(args.count, dim, np.random.default_rng([args.seed, args.iteration]))
     else:
-        points = sobol(args.count, dim, start_index=1 + args.iteration * args.count).points
+        points = sobol(args.count, dim, start_index=1 + args.iteration * args.count)
 
     lines = ["tag," + ",".join(f"x{p}" for p in range(dim))]
     for row in design:
@@ -285,28 +228,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a (methods x seeds) experiment grid")
     run.add_argument("--config", help="flat key=value config file; flags override")
-    run.add_argument("--problem", choices=PROBLEM_NAMES)
-    run.add_argument("--dim", type=int)
-    run.add_argument("--budget", type=int, help="total evaluations including the initial design")
-    run.add_argument("--method", help=f"comma-separated subset of {', '.join(METHODS)}")
-    run.add_argument("--reps", type=int, help="number of replicate seeds (default 1)")
-    run.add_argument("--seed", type=int, help="base seed; replicates use seed..seed+reps-1")
-    run.add_argument("--n-init", dest="n_init", type=int, help="initial design size (default 3P)")
-    run.add_argument(
-        "--candidates", type=int, help="candidate count C (default min(5000, 100P))"
+    # The one table of `run` settings.  A flag's dest is its config-file key
+    # and its name in the sidecar; a default is read from ExperimentConfig,
+    # whose class attributes hold its fields' defaults.
+    flag, cfg = run.add_argument, ExperimentConfig
+    settings = (
+        flag("--problem", choices=PROBLEM_NAMES),
+        flag("--dim", type=int),
+        flag("--budget", type=int, help="total evaluations including the initial design"),
+        flag(
+            "--method",
+            default=",".join(cfg.methods),
+            help=f"comma-separated subset of {', '.join(METHODS)}",
+        ),
+        flag(
+            "--reps",
+            type=int,
+            default=len(cfg.seeds),
+            help="number of replicate seeds (default %(default)s)",
+        ),
+        flag(
+            "--seed",
+            type=int,
+            default=cfg.seeds[0],
+            help="base seed; replicates use seed..seed+reps-1",
+        ),
+        flag("--n-init", type=int, default=cfg.n_init, help="initial design size (default 3P)"),
+        flag(
+            "--candidates",
+            type=int,
+            default=cfg.n_candidates,
+            help="candidate count C (default min(5000, 100P))",
+        ),
+        flag("--refit-until", type=int, default=cfg.refit_until),
+        flag("--refit-every", type=int, default=cfg.refit_every),
+        flag(
+            "--jobs",
+            type=int,
+            default=cfg.jobs,
+            help="parallel worker processes (default %(default)s)",
+        ),
+        flag("--out", help="output CSV path"),
+        flag(
+            "--no-x",
+            dest="include_x",
+            action="store_false",
+            default=cfg.include_x,
+            help="omit x columns",
+        ),
+        flag(
+            "--no-timing",
+            dest="timing",
+            action="store_false",
+            default=cfg.timing,
+            help="zero the timing columns (byte-stable output)",
+        ),
     )
-    run.add_argument("--refit-until", dest="refit_until", type=int)
-    run.add_argument("--refit-every", dest="refit_every", type=int)
-    run.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
-    run.add_argument("--out", help="output CSV path")
-    run.add_argument("--no-x", dest="no_x", action="store_true", help="omit x columns")
-    run.add_argument(
-        "--no-timing",
-        dest="no_timing",
-        action="store_true",
-        help="zero the timing columns (byte-stable output)",
-    )
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, settings={a.dest: a for a in settings})
 
     study = sub.add_parser("boundary-study", help="wall-hit proportion grid")
     study.add_argument("--reps", type=int, default=10)
@@ -337,9 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # parse again with the file's settings ahead of the command line's
+            # flags: argparse checks both alike, and the later flag wins
+            at = argv.index("run") + 1
+            file_argv = _config_argv(args.config, args.settings)
+            args = parser.parse_args([*argv[:at], *file_argv, *argv[at:]])
+        out_dir = os.path.dirname(getattr(args, "out", None) or "")
+        if out_dir and not os.path.isdir(out_dir):
+            raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2 with usage

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, gp
-from .bench import TestProblem, make_problem
+from .bench import TestProblem, check_problem, make_problem
 from .sampling import lhs, sobol
 from .vorcands import scheme_final
 
@@ -67,10 +67,7 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        if self.problem == "":
-            raise ValueError("problem name is required")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check_problem(self.problem, self.dim)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
@@ -78,6 +75,10 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.resolved_n_init() < 2:
+            raise ValueError(f"n_init must be >= 2 to fit a surrogate, got {self.n_init}")
+        if self.resolved_n_candidates() < 1:
+            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
         if self.budget <= self.resolved_n_init():
             raise ValueError(
                 f"budget ({self.budget}) must exceed the initial design size "
@@ -110,7 +111,7 @@ def _shared_start(
     """Problem instance and evaluated initial design, identical across methods."""
     rng = np.random.default_rng([seed])
     problem = make_problem(config.problem, config.dim, rng)
-    design = lhs(config.resolved_n_init(), config.dim, rng).points
+    design = lhs(config.resolved_n_init(), config.dim, rng)
     y = np.asarray(problem.evaluate(design), dtype=float)
     return problem, design, y
 
@@ -136,9 +137,9 @@ def _propose(
         cands = scheme_final(design, n_cand, iteration, incumbent, rng)
         points = cands.points
     elif method == "lhs":
-        points = lhs(n_cand, design.shape[1], rng).points
+        points = lhs(n_cand, design.shape[1], rng)
     else:  # sobol: advance through the sequence so each iteration is fresh
-        points = sobol(n_cand, design.shape[1], start_index=1 + iteration * n_cand).points
+        points = sobol(n_cand, design.shape[1], start_index=1 + iteration * n_cand)
     gen_seconds = time.perf_counter() - t0
     return acquisition.argmax_discrete(model, points, y_min).point, gen_seconds
 
@@ -273,7 +274,13 @@ def run_suite(
 
 
 def _fmt(v: float) -> str:
+    """Shortest text that reads back as the same float."""
     return repr(float(v))
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(records: list[TrajectoryRecord], config: ExperimentConfig) -> None:
@@ -293,5 +300,4 @@ def write_csv(records: list[TrajectoryRecord], config: ExperimentConfig) -> None
         else:
             row += ["0", "0", "0"]
         lines.append(",".join(row))
-    with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(config.out, lines)

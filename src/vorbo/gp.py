@@ -22,6 +22,15 @@ from scipy.optimize import minimize
 #: acquisition surface.
 TAU_SQ_FLOOR = 1e-12
 
+#: Box for the fitted lengthscales, and the fit's L-BFGS-B iteration cap.
+LENGTHSCALE_BOUNDS = (1e-3, 10.0)
+FIT_MAXITER = 100
+
+#: Jitter added to the correlation matrix: NUGGET first, escalated tenfold
+#: up to NUGGET_MAX before a factorization is declared impossible.
+NUGGET = 1e-8
+NUGGET_MAX = 1e-4
+
 
 class SurrogateFitError(RuntimeError):
     """Raised when no positive-definite factorization can be produced."""
@@ -41,14 +50,6 @@ class GpHyper:
             raise ValueError("lengthscales must be finite and strictly positive")
         if not (self.tau_sq > 0 and self.nugget > 0):
             raise ValueError("tau_sq and nugget must be strictly positive")
-
-
-@dataclass
-class FitConfig:
-    lengthscale_bounds: tuple[float, float] = (1e-3, 10.0)
-    nugget: float = 1e-8
-    nugget_max: float = 1e-4
-    maxiter: int = 100
 
 
 @dataclass
@@ -98,32 +99,24 @@ def _cross_corr(design: np.ndarray, queries: np.ndarray, lengthscales: np.ndarra
     return s
 
 
-def _factor_with_escalation(
-    corr: np.ndarray, nugget: float, nugget_max: float
-) -> tuple[np.ndarray, float]:
-    """Cholesky of corr + g*I, escalating g tenfold until it succeeds."""
-    g = nugget
+def _factor_with_escalation(corr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky of corr + g*I, escalating g tenfold from NUGGET until it succeeds."""
+    g = NUGGET
     while True:
         try:
             low, _ = cho_factor(corr + g * np.eye(corr.shape[0]), lower=True)
             return np.tril(low), g
         except np.linalg.LinAlgError:
             pass
-        if g >= nugget_max:
+        if g >= NUGGET_MAX:
             raise SurrogateFitError(
                 f"correlation matrix not positive definite at jitter {g:g}"
             )
-        g = min(g * 10.0, nugget_max)
+        g = min(g * 10.0, NUGGET_MAX)
 
 
-def build(
-    design: np.ndarray,
-    y: np.ndarray,
-    lengthscales: np.ndarray,
-    config: FitConfig | None = None,
-) -> GpModel:
+def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     """Assemble a model at fixed lengthscales; tau_sq is profiled from the data."""
-    config = config or FitConfig()
     design = np.ascontiguousarray(design, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if design.ndim != 2 or design.shape[0] != y.shape[0]:
@@ -137,7 +130,7 @@ def build(
     y_mean = float(y.mean())
     yc = y - y_mean
     corr = _corr_matrix(design, lengthscales)
-    low, g = _factor_with_escalation(corr, config.nugget, config.nugget_max)
+    low, g = _factor_with_escalation(corr)
     alpha = cho_solve((low, True), yc)
     tau_sq = max(float(yc @ alpha) / y.shape[0], TAU_SQ_FLOOR)
     hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
@@ -152,10 +145,7 @@ def build(
 
 
 def _nll_and_grad(
-    theta: np.ndarray,
-    design: np.ndarray,
-    yc: np.ndarray,
-    config: FitConfig,
+    theta: np.ndarray, design: np.ndarray, yc: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Concentrated negative log marginal likelihood over log-lengthscales.
 
@@ -171,7 +161,7 @@ def _nll_and_grad(
     ls = np.exp(theta)
     corr = _corr_matrix(design, ls)
     try:
-        low, _ = _factor_with_escalation(corr, config.nugget, config.nugget_max)
+        low, _ = _factor_with_escalation(corr)
     except SurrogateFitError:
         return 1e25, np.zeros_like(theta)
     alpha = cho_solve((low, True), yc)
@@ -192,45 +182,39 @@ def _nll_and_grad(
     return nll, grad
 
 
-def fit(
-    design: np.ndarray,
-    y: np.ndarray,
-    init: GpHyper,
-    config: FitConfig | None = None,
-) -> GpModel:
+def fit(design: np.ndarray, y: np.ndarray, init: GpHyper) -> GpModel:
     """Maximum-likelihood lengthscales from a warm start, then `build`.
 
     Maximizes the concentrated log marginal likelihood of the centered
-    outputs over log-lengthscales inside `config.lengthscale_bounds`,
+    outputs over log-lengthscales inside `LENGTHSCALE_BOUNDS`,
     starting from `init.lengthscales`.  The returned model is never worse
     (in likelihood) than the warm start; lengthscales landing on a box bound
     are legitimate fits for unidentifiable data, not errors.
     """
-    config = config or FitConfig()
     design = np.ascontiguousarray(design, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if design.shape[0] < 2:
         raise ValueError(f"need at least 2 observations to fit, got {design.shape[0]}")
     init.validate(design.shape[1])
 
-    lo, hi = config.lengthscale_bounds
+    lo, hi = LENGTHSCALE_BOUNDS
     yc = y - y.mean()
     theta0 = np.clip(np.log(np.asarray(init.lengthscales, dtype=float)), np.log(lo), np.log(hi))
     res = minimize(
         _nll_and_grad,
         theta0,
-        args=(design, yc, config),
+        args=(design, yc),
         jac=True,
         method="L-BFGS-B",
         bounds=[(np.log(lo), np.log(hi))] * design.shape[1],
-        options={"maxiter": config.maxiter},
+        options={"maxiter": FIT_MAXITER},
     )
     # L-BFGS-B only ever accepts descent steps, but guard against a
     # pathological line search anyway: keep the better of start and result.
     theta = res.x
-    if not np.isfinite(res.fun) or res.fun > _nll_and_grad(theta0, design, yc, config)[0]:
+    if not np.isfinite(res.fun) or res.fun > _nll_and_grad(theta0, design, yc)[0]:
         theta = theta0
-    return build(design, y, np.exp(theta), config)
+    return build(design, y, np.exp(theta))
 
 
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,13 +39,3 @@ def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.sqrt((diff * diff).sum(axis=-1))
     return diff.max(axis=-1)
 
-
-def cube_diameter(metric: Metric, dim: int) -> float:
-    """Largest possible distance between two points of [0, 1]^dim."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if metric is Metric.L1:
-        return float(dim)
-    if metric is Metric.L2:
-        return float(np.sqrt(dim))
-    return 1.0

@@ -3,46 +3,30 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
 
-@dataclass
-class LhsSample:
-    points: np.ndarray
-    seed: int | None
-
-
-@dataclass
-class SobolSample:
-    points: np.ndarray
-    start_index: int
-
-
-def lhs(n: int, dim: int, rng: np.random.Generator | int | None) -> LhsSample:
-    """Latin hypercube sample of `n` points in [0, 1]^dim.
+def lhs(n: int, dim: int, rng: np.random.Generator | int | None) -> np.ndarray:
+    """Latin hypercube sample of `n` points in [0, 1]^dim, as an (n, dim) array.
 
     Each coordinate axis is split into `n` equal strata and every stratum
     receives exactly one point, jittered uniformly within the stratum.
-
-    `rng` may be a Generator or a seed; the seed (when given as an int) is
-    recorded on the returned sample.
+    `rng` may be a Generator or a seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    seed = rng if isinstance(rng, int) else None
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     pts = np.empty((n, dim))
     for j in range(dim):
         pts[:, j] = (gen.permutation(n) + gen.random(n)) / n
-    return LhsSample(points=pts, seed=seed)
+    return pts
 
 
-def sobol(n: int, dim: int, start_index: int = 1) -> SobolSample:
+def sobol(n: int, dim: int, start_index: int = 1) -> np.ndarray:
     """Points `start_index .. start_index + n - 1` of the unscrambled Sobol sequence.
 
     Index 0 of the sequence is the origin, so the default skips it.
@@ -59,8 +43,7 @@ def sobol(n: int, dim: int, start_index: int = 1) -> SobolSample:
     with warnings.catch_warnings():
         # drawing a non power-of-two count is intentional here
         warnings.simplefilter("ignore", UserWarning)
-        pts = gen.random(n)
-    return SobolSample(points=pts, start_index=start_index)
+        return gen.random(n)
 
 
 def sphere_direction(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -338,7 +338,12 @@ def _rect_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarr
 def _sample_origins(
     n: int, count: int, incumbent: int | None, rng: np.random.Generator
 ) -> np.ndarray:
-    """Origin indices; with an incumbent, min(2P-equivalent) handled by caller."""
+    """`count` origin indices drawn uniformly with replacement.
+
+    Draws from all `n` design points, or, given an incumbent, from the other
+    n - 1 (all zeros when the incumbent is the only point).  `direct_sample`
+    starts its first min(2P, count) walks at the incumbent itself.
+    """
     if incumbent is None:
         return rng.integers(0, n, size=count).astype(np.intp)
     if n == 1:
@@ -459,7 +464,7 @@ def scheme_final(
         raise ValueError(f"iteration must be >= 0, got {iteration}")
     if iteration % 2 == 0:
         return direct_sample(design, count, "rect", Metric.LINF, incumbent, rng)
-    pre = lhs(count, np.asarray(design).shape[1], rng).points
+    pre = lhs(count, np.asarray(design).shape[1], rng)
     return project_sample(design, pre, Metric.LINF, rng=rng)
 
 
@@ -485,7 +490,7 @@ def boundary_proportion(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     if strategy == "proj":
-        batch = _project_batch(design, lhs(count, dim, rng).points, metric, rng)
+        batch = _project_batch(design, lhs(count, dim, rng), metric, rng)
     else:
         origins = _sample_origins(n, count, None, rng)
         directions = (

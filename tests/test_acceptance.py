@@ -205,16 +205,15 @@ def test_criterion_3_gp_oracle_equivalence():
     assert np.max(np.abs(mean - mean_oracle)) <= 1e-10
     assert np.max(np.abs(sd - np.sqrt(var_oracle))) <= 1e-10
 
-    config = gp.FitConfig()
     h = 1e-5
     for _ in range(20):
         theta = rng.uniform(np.log(0.05), np.log(2.0), size=3)
-        _, grad = gp._nll_and_grad(theta, design, yc, config)
+        _, grad = gp._nll_and_grad(theta, design, yc)
         for p in range(3):
             step = np.zeros(3)
             step[p] = h
-            f_plus = gp._nll_and_grad(theta + step, design, yc, config)[0]
-            f_minus = gp._nll_and_grad(theta - step, design, yc, config)[0]
+            f_plus = gp._nll_and_grad(theta + step, design, yc)[0]
+            f_minus = gp._nll_and_grad(theta - step, design, yc)[0]
             fd = (f_plus - f_minus) / (2.0 * h)
             rel = abs(grad[p] - fd) / max(abs(grad[p]), abs(fd), 1.0)
             assert rel <= 1e-4, f"grad[{p}] {grad[p]} vs FD {fd} at theta {theta}"
@@ -383,7 +382,7 @@ def test_criterion_8_lhs_sobol_correctness():
     for _ in range(100):
         n = int(rng.integers(1, 64))
         dim = int(rng.integers(1, 12))
-        pts = sampling.lhs(n, dim, rng).points
+        pts = sampling.lhs(n, dim, rng)
         assert pts.shape == (n, dim)
         assert pts.min() >= 0.0 and pts.max() < 1.0
         strata = np.floor(pts * n).astype(int)
@@ -391,5 +390,5 @@ def test_criterion_8_lhs_sobol_correctness():
             np.testing.assert_array_equal(np.sort(strata[:, p]), np.arange(n))
 
     for dim in (1, 2, 3, 4):
-        got = sampling.sobol(8, dim, start_index=0).points
+        got = sampling.sobol(8, dim, start_index=0)
         np.testing.assert_array_equal(got, _sobol_first8_reference(dim))

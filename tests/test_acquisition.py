@@ -211,9 +211,3 @@ def test_multistart_determinism():
     np.testing.assert_array_equal(a.point, b.point)
     assert a.acq_value == b.acq_value
     assert a.evaluations == b.evaluations
-
-
-def test_multistart_rejects_bad_start_count():
-    model, X, y = _toy_model(22)
-    with pytest.raises(ValueError, match="n_starts"):
-        multistart_opt(model, 0.0, X[0], np.random.default_rng(0), n_starts=0)

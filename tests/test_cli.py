@@ -7,14 +7,14 @@ from vorbo.bench import make_problem
 from vorbo.cli import main
 
 
-def _run_args(out, **overrides):
+def _run_args(out_path, **overrides):
     settings = {
         "problem": "ackley",
         "dim": "2",
         "budget": "8",
         "method": "vor",
         "candidates": "50",
-        "out": str(out),
+        "out": str(out_path),
     }
     settings.update({k.replace("_", "-"): v for k, v in overrides.items()})
     args = ["run"]
@@ -94,6 +94,74 @@ def test_run_rejects_missing_config_file(tmp_path):
     assert exc.value.code == 2
 
 
+#: A value for each config key that differs from the `_run_args` setting or
+#: the default, and the flags that give the same.
+_CONFIG_KEYS = {
+    "problem": ("levy", ["--problem", "levy"]),
+    "dim": ("1", ["--dim", "1"]),
+    "budget": ("9", ["--budget", "9"]),
+    "method": ("lhs,vor", ["--method", "lhs,vor"]),
+    "reps": ("2", ["--reps", "2"]),
+    "seed": ("5", ["--seed", "5"]),
+    "n_init": ("4", ["--n-init", "4"]),
+    "candidates": ("60", ["--candidates", "60"]),
+    "refit_until": ("3", ["--refit-until", "3"]),
+    "refit_every": ("4", ["--refit-every", "4"]),
+    "jobs": ("2", ["--jobs", "2"]),
+    "out": ("other.csv", ["--out", "other.csv"]),
+    "include_x": ("false", ["--no-x"]),
+    "timing": ("off", ["--no-timing"]),
+}
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    """Stop `run` short of its cells: it writes only the sidecar, and each
+    config that would have run is recorded."""
+    configs = []
+
+    def run_suite(config):
+        configs.append(config)
+        return [], []
+
+    monkeypatch.setattr("vorbo.cli.run_suite", run_suite)
+    return configs
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_file_value_parses_like_its_flag(tmp_path, monkeypatch, cells, key):
+    monkeypatch.chdir(tmp_path)
+    value, flags = _CONFIG_KEYS[key]
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    base = _run_args("traj.csv", **{key: None})
+    settings = []
+    for argv in ([*base, "--config", "run.cfg"], [*base, *flags], _run_args("traj.csv")):
+        assert main(argv) == 0
+        (sidecar,) = tmp_path.glob("*.meta.json")
+        settings.append(json.loads(sidecar.read_text())["settings"])
+        sidecar.unlink()
+    from_file, from_flags, without = settings
+    assert from_file == from_flags
+    assert from_file[key] != without[key]
+    assert cells[0] == cells[1]
+
+
+@pytest.mark.parametrize("key, value", [("problem", "nosuch"), ("dim", "x"), ("jobs", "2.5")])
+def test_invalid_config_value_fails_like_its_flag(tmp_path, capsys, cells, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    base = _run_args(tmp_path / "x.csv", **{key: None})
+    errors = []
+    for argv in ([*base, "--config", str(cfg)], [*base, f"--{key}", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "invalid" in errors[0]
+    assert cells == []
+
+
 def test_run_no_timing_reruns_are_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -103,6 +171,14 @@ def test_run_no_timing_reruns_are_byte_identical(tmp_path):
     meta_a = (tmp_path / "a.csv.meta.json").read_text()
     meta_b = (tmp_path / "b.csv.meta.json").read_text()
     assert meta_a.replace("a.csv", "") == meta_b.replace("b.csv", "")
+
+
+def test_run_rejects_missing_output_directory(tmp_path, capsys, cells):
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(tmp_path / "absent" / "x.csv"))
+    assert exc.value.code == 2
+    assert "output directory" in capsys.readouterr().err
+    assert cells == []
 
 
 # ----------------------------- boundary-study -------------------------------
@@ -161,6 +237,17 @@ def test_boundary_study_rejects_unknown_metric(tmp_path):
             "--out", str(tmp_path / "x.csv"),
         ])
     assert exc.value.code == 2
+
+
+def test_boundary_study_rejects_missing_output_directory(tmp_path, monkeypatch, capsys):
+    def walk(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("vorbo.cli.boundary_proportion", walk)
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary-study", "--out", str(tmp_path / "absent" / "study.csv")])
+    assert exc.value.code == 2
+    assert "output directory" in capsys.readouterr().err
 
 
 # ------------------------------- candidates ---------------------------------

@@ -220,6 +220,16 @@ def test_config_validation_errors():
         _config(refit_every=0).validate()
     with pytest.raises(ValueError, match="jobs"):
         _config(jobs=0).validate()
+    # each of these would start every cell only for the cell to fail
+    with pytest.raises(ValueError, match="n_init"):
+        _config(n_init=1).validate()
+    with pytest.raises(ValueError, match="n_candidates"):
+        _config(n_candidates=0).validate()
+    with pytest.raises(ValueError, match="unknown problem"):
+        _config(problem="sphere").validate()
+    with pytest.raises(ValueError, match="sinesum2d"):
+        _config(problem="sinesum2d", dim=3).validate()
+    _config(problem="sinesum2d", dim=2).validate()
 
 
 def test_unknown_problem_surfaces_at_run_time():

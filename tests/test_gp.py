@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vorbo import gp
-from vorbo.gp import FitConfig, GpHyper, SurrogateFitError
+from vorbo.gp import GpHyper, SurrogateFitError
 
 
 def _dense_moments(model, queries):
@@ -130,29 +130,27 @@ def test_factorization_reproduces_kernel_matrix():
 def test_likelihood_gradient_matches_finite_differences():
     X, y = _fit_data(8, n=18, dim=3)
     yc = y - y.mean()
-    config = FitConfig()
     rng = np.random.default_rng(9)
     h = 1e-5
     for _ in range(20):
         theta = rng.uniform(np.log(0.05), np.log(5.0), size=3)
-        _, grad = gp._nll_and_grad(theta, X, yc, config)
+        _, grad = gp._nll_and_grad(theta, X, yc)
         for p in range(3):
             step = np.zeros(3)
             step[p] = h
-            f_plus = gp._nll_and_grad(theta + step, X, yc, config)[0]
-            f_minus = gp._nll_and_grad(theta - step, X, yc, config)[0]
+            f_plus = gp._nll_and_grad(theta + step, X, yc)[0]
+            f_minus = gp._nll_and_grad(theta - step, X, yc)[0]
             fd = (f_plus - f_minus) / (2.0 * h)
             assert abs(grad[p] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_fit_improves_on_warm_start():
     X, y = _fit_data(10, n=30)
-    config = FitConfig()
     init = GpHyper(np.full(2, 5.0), 1.0, 1e-8)
-    model = gp.fit(X, y, init, config)
+    model = gp.fit(X, y, init)
     yc = y - y.mean()
-    nll_fit = gp._nll_and_grad(np.log(model.hyper.lengthscales), X, yc, config)[0]
-    nll_init = gp._nll_and_grad(np.log(init.lengthscales), X, yc, config)[0]
+    nll_fit = gp._nll_and_grad(np.log(model.hyper.lengthscales), X, yc)[0]
+    nll_init = gp._nll_and_grad(np.log(init.lengthscales), X, yc)[0]
     assert nll_fit <= nll_init + 1e-9
 
 
@@ -179,9 +177,8 @@ def test_unidentifiable_data_hits_box_bound():
     # interior optimum; this must be an ordinary answer, not an error
     X = np.array([[0.0], [0.3]])
     y = np.array([0.0, 5.0])
-    config = FitConfig()
-    model = gp.fit(X, y, GpHyper(np.ones(1), 1.0, 1e-8), config)
-    lo, hi = config.lengthscale_bounds
+    model = gp.fit(X, y, GpHyper(np.ones(1), 1.0, 1e-8))
+    lo, hi = gp.LENGTHSCALE_BOUNDS
     ls = model.hyper.lengthscales[0]
     assert ls == pytest.approx(lo, rel=1e-6) or ls == pytest.approx(hi, rel=1e-6)
     mean, sd = gp.predict(model, np.array([[0.15]]))
@@ -206,7 +203,7 @@ def test_fit_requires_two_points():
 def test_escalation_gives_up_on_indefinite_matrix():
     not_a_corr = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
     with pytest.raises(SurrogateFitError):
-        gp._factor_with_escalation(not_a_corr, 1e-8, 1e-4)
+        gp._factor_with_escalation(not_a_corr)
 
 
 def test_fit_determinism():

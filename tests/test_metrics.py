@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import minkowski_distance
 
-from vorbo.metrics import Metric, cube_diameter, distance
+from vorbo.metrics import Metric, distance
 
 
 def test_frozen_values_345_triangle():
@@ -57,16 +57,13 @@ def test_from_string():
         Metric.from_string("l3")
 
 
-def test_cube_diameter():
-    assert cube_diameter(Metric.L1, 4) == 4.0
-    assert cube_diameter(Metric.L2, 4) == 2.0
-    assert cube_diameter(Metric.LINF, 4) == 1.0
-    with pytest.raises(ValueError):
-        cube_diameter(Metric.L2, 0)
-
-
 def test_diameter_is_attained_at_opposite_corners():
-    for metric in Metric:
-        for dim in (1, 3, 10):
-            d = distance(metric, np.zeros(dim), np.ones(dim))
-            assert d == pytest.approx(cube_diameter(metric, dim))
+    # P -> (L1, L2, L-inf) diameter of [0, 1]^P
+    diameters = {
+        1: (1.0, 1.0, 1.0),
+        3: (3.0, 1.7320508075688772, 1.0),
+        10: (10.0, 3.1622776601683795, 1.0),
+    }
+    for dim, want in diameters.items():
+        for metric, diameter in zip((Metric.L1, Metric.L2, Metric.LINF), want):
+            assert distance(metric, np.zeros(dim), np.ones(dim)) == pytest.approx(diameter)
