@@ -6,7 +6,9 @@ with z = (y_min - mu)/sigma,
     EI = (y_min - mu) * Phi(z) + sigma * phi(z),
 
 falling back to the deterministic improvement max(y_min - mu, 0) when sigma
-is numerically zero.
+is numerically zero.  `argmax_discrete` scores a candidate set with `ei`;
+`multistart_opt` ascends `ei_and_grad`, which takes the value and the
+gradient from one predictive pass per point.
 """
 
 from __future__ import annotations
@@ -52,20 +54,22 @@ def ei(model: gp.GpModel, queries: np.ndarray, y_min: float) -> np.ndarray:
     return ei_values(mean, sd, y_min)
 
 
-def ei_grad(model: gp.GpModel, query: np.ndarray, y_min: float) -> np.ndarray:
-    """Analytic EI gradient at one point.
+def ei_and_grad(
+    model: gp.GpModel, query: np.ndarray, y_min: float
+) -> tuple[float, np.ndarray]:
+    """EI and its analytic gradient at one point, from one predictive pass.
 
-    dEI/dmu = -Phi(z) and dEI/dsigma = phi(z), chained through the predictive
-    moment gradients; at a numerically zero sd, the gradient of the
-    deterministic improvement max(y_min - mu, 0).
+    The value is `ei` at the same point, bit for bit.  dEI/dmu = -Phi(z) and
+    dEI/dsigma = phi(z), chained through the predictive moment gradients; at
+    a numerically zero sd, the gradient of the deterministic improvement
+    max(y_min - mu, 0).
     """
-    query = np.asarray(query, dtype=float).reshape(-1)
-    mean, sd = gp.predict(model, query[None, :])
-    dmean, dsd = gp.predict_grad(model, query)
-    if sd[0] > SD_FLOOR:
-        z = (y_min - mean[0]) / sd[0]
-        return -norm.cdf(z) * dmean + norm.pdf(z) * dsd
-    return -dmean if mean[0] < y_min else np.zeros_like(query)
+    mean, sd, dmean, dsd = gp.predict_grad(model, query)
+    value = float(ei_values([mean], [sd], y_min)[0])
+    if sd > SD_FLOOR:
+        z = (y_min - mean) / sd
+        return value, -norm.cdf(z) * dmean + norm.pdf(z) * dsd
+    return value, -dmean if mean < y_min else np.zeros_like(dmean)
 
 
 def argmax_discrete(
@@ -92,8 +96,8 @@ def multistart_opt(
     start runs a bounded local ascent with the analytic gradient (max 200
     iterations, projected-gradient tolerance 1e-8); the best terminal point
     across starts wins, falling back to the best start itself if no ascent
-    improves on it.  `evaluations` counts EI evaluations, gradient calls
-    included.
+    improves on it.  `evaluations` counts EI evaluations: one per start
+    point and one per objective call, each of which also yields the gradient.
     """
     dim = model.design.shape[1]
     incumbent = np.asarray(incumbent, dtype=float).reshape(-1)
@@ -104,7 +108,8 @@ def multistart_opt(
     def neg_ei_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
         evals += 1
-        return -float(ei(model, x[None, :], y_min)[0]), -ei_grad(model, x, y_min)
+        value, grad = ei_and_grad(model, x, y_min)
+        return -value, -grad
 
     best_x: np.ndarray | None = None
     best_val = -np.inf

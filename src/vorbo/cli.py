@@ -39,13 +39,8 @@ def _write_sidecar(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _bool_from_str(v: str) -> bool:
-    low = v.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
 def _config_argv(path: str, settings: dict[str, argparse.Action]) -> list[str]:
@@ -66,7 +61,9 @@ def _config_argv(path: str, settings: dict[str, argparse.Action]) -> list[str]:
                 flag = settings[key]
                 if flag.nargs != 0:
                     argv.append(f"{flag.option_strings[0]}={val}")
-                elif _bool_from_str(val) == flag.const:  # --no-x, --no-timing take no value
+                elif val.lower() not in _BOOLEANS:
+                    raise ValueError(f"{path}:{lineno}: expected a boolean, got {val!r}")
+                elif _BOOLEANS[val.lower()] == flag.const:  # --no-x, --no-timing take no value
                     argv.append(flag.option_strings[0])
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc

@@ -156,9 +156,7 @@ def run_bo(
     n_cand = config.resolved_n_candidates()
     n_acq = config.budget - design.shape[0]
 
-    hyper = gp.GpHyper(
-        lengthscales=np.full(config.dim, 0.5), tau_sq=1.0, nugget=1e-8
-    )
+    lengthscales = np.full(config.dim, 0.5)
     model: gp.GpModel | None = None
     records: list[TrajectoryRecord] = []
     cell_t0 = time.perf_counter()
@@ -170,16 +168,15 @@ def run_bo(
         fit_t0 = time.perf_counter()
         try:
             if refit:
-                model = gp.fit(design, y, hyper)
+                model = gp.fit(design, y, lengthscales)
             else:
-                model = gp.build(design, y, hyper.lengthscales)
-            hyper = model.hyper
+                model = gp.build(design, y, lengthscales)
+            lengthscales = model.hyper.lengthscales
         except gp.SurrogateFitError:
             # keep the previous lengthscales; if even a plain rebuild fails,
             # fall back to the stale model and move on
             try:
-                model = gp.build(design, y, hyper.lengthscales)
-                hyper = model.hyper
+                model = gp.build(design, y, lengthscales)
             except gp.SurrogateFitError:
                 if model is None:
                     raise

@@ -1,12 +1,14 @@
 """Constant-mean Gaussian-process surrogate with an ARD squared-exponential kernel.
 
-The kernel is k(a, b) = tau_sq * exp(-sum_p (a_p - b_p)^2 / ls_p).  The signal
-scale tau_sq is profiled out of the likelihood in closed form, so fitting
-optimizes only the log-lengthscales (box-constrained quasi-Newton ascent with
-an analytic gradient).  A small relative nugget keeps factorizations positive
-definite on deterministic data; predictions report the latent-function
-standard deviation, so at a training input the sd collapses to roughly
-sqrt(nugget * tau_sq).
+The kernel is k(a, b) = tau_sq * exp(-sum_p (a_p - b_p)^2 / ls_p); every
+correlation comes from the one evaluator `_corr`.  The signal scale tau_sq is
+profiled out of the likelihood in closed form, so fitting optimizes only the
+log-lengthscales (box-constrained quasi-Newton ascent with an analytic
+gradient, all dimensions from one matrix product).  A small relative nugget
+keeps factorizations positive definite on deterministic data; predictions
+report the latent-function standard deviation, so at a training input the sd
+collapses to roughly sqrt(nugget * tau_sq).  `predict_grad` gives the moments
+and their gradients at one point from a single correlation row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 #: Floor applied to the profiled signal variance.  Constant outputs would
 #: otherwise collapse tau_sq to zero and flatten every downstream
@@ -42,15 +45,6 @@ class GpHyper:
     tau_sq: float
     nugget: float
 
-    def validate(self, dim: int) -> None:
-        ls = np.asarray(self.lengthscales, dtype=float)
-        if ls.shape != (dim,):
-            raise ValueError(f"lengthscales must have shape ({dim},), got {ls.shape}")
-        if not (np.isfinite(ls).all() and (ls > 0).all()):
-            raise ValueError("lengthscales must be finite and strictly positive")
-        if not (self.tau_sq > 0 and self.nugget > 0):
-            raise ValueError("tau_sq and nugget must be strictly positive")
-
 
 @dataclass
 class GpModel:
@@ -70,33 +64,24 @@ class GpModel:
     alpha: np.ndarray
 
 
-def kernel(hyper: GpHyper, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tau_sq * exp(-sum_p (a_p - b_p)^2 / ls_p), broadcasting over leading axes."""
-    ls = np.asarray(hyper.lengthscales, dtype=float)
-    if (ls <= 0).any():
-        raise ValueError("lengthscales must be strictly positive")
-    d2 = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) ** 2
-    return hyper.tau_sq * np.exp(-(d2 / ls).sum(axis=-1))
+def _check_lengthscales(lengthscales: np.ndarray, dim: int) -> np.ndarray:
+    ls = np.asarray(lengthscales, dtype=float)
+    if ls.shape != (dim,):
+        raise ValueError(f"lengthscales must have shape ({dim},), got {ls.shape}")
+    if not (np.isfinite(ls).all() and (ls > 0).all()):
+        raise ValueError("lengthscales must be finite and strictly positive")
+    return ls
 
 
-def _corr_matrix(design: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Unit-scale correlation matrix exp(-sum_p (x_ip - x_jp)^2 / ls_p)."""
-    n = design.shape[0]
-    s = np.zeros((n, n))
-    for p in range(design.shape[1]):
-        col = design[:, p]
-        s += (col[:, None] - col[None, :]) ** 2 / lengthscales[p]
-    np.exp(-s, out=s)
-    return s
+def _corr(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+    """Unit-scale correlations exp(-sum_p (a_ip - b_jp)^2 / ls_p), len(a) x len(b).
 
-
-def _cross_corr(design: np.ndarray, queries: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Unit-scale correlations between M queries and N design points (M x N)."""
-    s = np.zeros((queries.shape[0], design.shape[0]))
-    for p in range(design.shape[1]):
-        s += (queries[:, p, None] - design[None, :, p]) ** 2 / lengthscales[p]
-    np.exp(-s, out=s)
-    return s
+    Distances are taken on direct differences of the scaled rows, so the
+    diagonal of _corr(a, a, ls) is exactly 1 and no squared distance can
+    round below zero, as the expanded form |a|^2 + |b|^2 - 2ab can.
+    """
+    scale = np.sqrt(lengthscales)
+    return np.exp(-cdist(a / scale, b / scale, "sqeuclidean"))
 
 
 def _factor_with_escalation(corr: np.ndarray) -> tuple[np.ndarray, float]:
@@ -125,12 +110,11 @@ def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpMode
         )
     if not np.isfinite(y).all():
         raise ValueError("outputs must be finite")
-    lengthscales = np.asarray(lengthscales, dtype=float)
+    lengthscales = _check_lengthscales(lengthscales, design.shape[1])
 
     y_mean = float(y.mean())
     yc = y - y_mean
-    corr = _corr_matrix(design, lengthscales)
-    low, g = _factor_with_escalation(corr)
+    low, g = _factor_with_escalation(_corr(design, design, lengthscales))
     alpha = cho_solve((low, True), yc)
     tau_sq = max(float(yc @ alpha) / y.shape[0], TAU_SQ_FLOOR)
     hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
@@ -155,11 +139,15 @@ def _nll_and_grad(
         d(nll)/d(theta_p) = -N/2 * (alpha' dA alpha)/(yc' alpha)
                             + 1/2 * tr(A^-1 dA),
 
-    with dA/d(theta_p) = C .* sqdist_p / ls_p elementwise.
+    with dA/d(theta_p) = C .* sqdist_p / ls_p elementwise (Rasmussen &
+    Williams 2006, eq. 5.9).  Both terms are sums over M .* sqdist_p / ls_p
+    with M = (A^-1 / 2 - N/2 * alpha alpha' / (yc' alpha)) .* C, and since M
+    is symmetric, sum_ij M_ij (x_ip - x_jp)^2 = 2 * (rowsum(M)' x_p^2 -
+    x_p' M x_p): every dimension at once from one product M X.
     """
     n = design.shape[0]
     ls = np.exp(theta)
-    corr = _corr_matrix(design, ls)
+    corr = _corr(design, design, ls)
     try:
         low, _ = _factor_with_escalation(corr)
     except SurrogateFitError:
@@ -170,24 +158,19 @@ def _nll_and_grad(
     logdet = 2.0 * float(np.log(np.diag(low)).sum())
     nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
 
-    a_inv = cho_solve((low, True), np.eye(n))
-    denom = max(quad, n * TAU_SQ_FLOOR)
-    grad = np.empty_like(theta)
-    for p in range(design.shape[1]):
-        col = design[:, p]
-        d_a = corr * ((col[:, None] - col[None, :]) ** 2 / ls[p])
-        grad[p] = -0.5 * n * float(alpha @ d_a @ alpha) / denom + 0.5 * float(
-            (a_inv * d_a).sum()
-        )
+    m = cho_solve((low, True), 0.5 * np.eye(n))
+    m -= np.outer((0.5 * n / max(quad, n * TAU_SQ_FLOOR)) * alpha, alpha)
+    m *= corr
+    grad = 2.0 * (m.sum(axis=1) @ design**2 - (design * (m @ design)).sum(axis=0)) / ls
     return nll, grad
 
 
-def fit(design: np.ndarray, y: np.ndarray, init: GpHyper) -> GpModel:
+def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     """Maximum-likelihood lengthscales from a warm start, then `build`.
 
     Maximizes the concentrated log marginal likelihood of the centered
     outputs over log-lengthscales inside `LENGTHSCALE_BOUNDS`,
-    starting from `init.lengthscales`.  The returned model is never worse
+    starting from `lengthscales`.  The returned model is never worse
     (in likelihood) than the warm start; lengthscales landing on a box bound
     are legitimate fits for unidentifiable data, not errors.
     """
@@ -195,11 +178,11 @@ def fit(design: np.ndarray, y: np.ndarray, init: GpHyper) -> GpModel:
     y = np.asarray(y, dtype=float).reshape(-1)
     if design.shape[0] < 2:
         raise ValueError(f"need at least 2 observations to fit, got {design.shape[0]}")
-    init.validate(design.shape[1])
+    lengthscales = _check_lengthscales(lengthscales, design.shape[1])
 
     lo, hi = LENGTHSCALE_BOUNDS
     yc = y - y.mean()
-    theta0 = np.clip(np.log(np.asarray(init.lengthscales, dtype=float)), np.log(lo), np.log(hi))
+    theta0 = np.clip(np.log(lengthscales), np.log(lo), np.log(hi))
     res = minimize(
         _nll_and_grad,
         theta0,
@@ -217,6 +200,15 @@ def fit(design: np.ndarray, y: np.ndarray, init: GpHyper) -> GpModel:
     return build(design, y, np.exp(theta))
 
 
+def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Correlation rows, w = chol^-1 rho', and the predictive mean and sd."""
+    rho = _corr(queries, model.design, model.hyper.lengthscales)
+    mean = model.y_mean + rho @ model.alpha
+    w = solve_triangular(model.chol, rho.T, lower=True)
+    var = model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
+    return rho, w, mean, np.sqrt(var)
+
+
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and latent standard deviation at each query row."""
     queries = np.asarray(queries, dtype=float)
@@ -226,25 +218,25 @@ def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError(
             f"queries must have {model.design.shape[1]} columns, got {queries.shape[1]}"
         )
-    rho = _cross_corr(model.design, queries, model.hyper.lengthscales)
-    mean = model.y_mean + rho @ model.alpha
-    w = solve_triangular(model.chol, rho.T, lower=True)
-    var = model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
-    return mean, np.sqrt(var)
+    _, _, mean, sd = _moments(model, queries)
+    return mean, sd
 
 
-def predict_grad(model: GpModel, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (d mean / dx, d sd / dx) at a single query point."""
-    query = np.asarray(query, dtype=float).reshape(-1)
-    ls = model.hyper.lengthscales
-    rho = _cross_corr(model.design, query[None, :], ls)[0]
+def predict_grad(
+    model: GpModel, query: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Mean, sd and their gradients (d mean / dx, d sd / dx) at one query point.
+
+    The moments are computed exactly as `predict` computes them, from the
+    same correlation row, so they match it bit for bit.
+    """
+    query = np.asarray(query, dtype=float).reshape(1, -1)
+    rho, w, mean, sd = _moments(model, query)
     # d rho_i / d x_p = rho_i * (-2 (x_p - X_ip) / ls_p)
-    j = rho[:, None] * (-2.0 * (query[None, :] - model.design) / ls[None, :])
+    j = rho.T * (-2.0 * (query - model.design) / model.hyper.lengthscales)
     dmean = j.T @ model.alpha
-    w = cho_solve((model.chol, True), rho)
-    var = model.hyper.tau_sq * max(1.0 - float(rho @ w), 0.0)
-    sd = np.sqrt(var)
-    if sd <= 0.0:
-        return dmean, np.zeros_like(query)
-    dvar = -2.0 * model.hyper.tau_sq * (j.T @ w)
-    return dmean, dvar / (2.0 * sd)
+    if sd[0] <= 0.0:
+        return float(mean[0]), 0.0, dmean, np.zeros_like(dmean)
+    # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w
+    v = solve_triangular(model.chol, w[:, 0], lower=True, trans="T")
+    return float(mean[0]), float(sd[0]), dmean, -model.hyper.tau_sq * (j.T @ v) / sd[0]

@@ -7,11 +7,10 @@ from vorbo.acquisition import (
     AcqResult,
     argmax_discrete,
     ei,
-    ei_grad,
+    ei_and_grad,
     ei_values,
     multistart_opt,
 )
-from vorbo.gp import GpHyper
 from vorbo.vorcands import STRATEGIES, direct_sample
 from vorbo.metrics import Metric
 
@@ -20,7 +19,7 @@ def _toy_model(seed=0, n=20, dim=2):
     rng = np.random.default_rng(seed)
     X = rng.random((n, dim))
     y = np.sin(4.0 * np.pi * (X - 0.5) ** 2).sum(axis=1)
-    return gp.fit(X, y, GpHyper(np.full(dim, 0.5), 1.0, 1e-8)), X, y
+    return gp.fit(X, y, np.full(dim, 0.5)), X, y
 
 
 # ------------------------------ ei_values -----------------------------------
@@ -131,13 +130,13 @@ def test_distant_candidate_beats_training_point():
     rng = np.random.default_rng(10)
     X = 0.1 + 0.2 * rng.random((12, 2))
     y = rng.standard_normal(12)
-    model = gp.fit(X, y, GpHyper(np.full(2, 0.2), 1.0, 1e-8))
+    model = gp.fit(X, y, np.full(2, 0.2))
     training_point = X[int(np.argmin(y))]
     res = argmax_discrete(model, np.vstack([training_point, [0.9, 0.9]]), y.min())
     np.testing.assert_array_equal(res.point, [0.9, 0.9])
 
 
-# -------------------------------- ei_grad -----------------------------------
+# ------------------------------ ei_and_grad ---------------------------------
 
 
 def test_gradient_matches_finite_differences():
@@ -149,7 +148,7 @@ def test_gradient_matches_finite_differences():
     for q in rng.random((200, 2)):
         if ei(model, q[None, :], y_min)[0] < 1e-6:
             continue
-        grad = ei_grad(model, q, y_min)
+        grad = ei_and_grad(model, q, y_min)[1]
         fd = np.empty(2)
         for p in range(2):
             step = np.zeros(2)
@@ -168,8 +167,15 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_zero_sd_branch_is_finite():
     model, X, y = _toy_model(13)
-    grad = ei_grad(model, X[0], y.min() - 1.0)
+    grad = ei_and_grad(model, X[0], y.min() - 1.0)[1]
     assert np.isfinite(grad).all()
+
+
+def test_value_is_ei_bit_for_bit():
+    model, X, y = _toy_model(19)
+    y_min = float(y.min())
+    for x in [*X[:5], *np.random.default_rng(20).random((50, 2))]:
+        assert ei_and_grad(model, x, y_min)[0] == ei(model, x[None, :], y_min)[0]
 
 
 # ----------------------------- multistart_opt -------------------------------

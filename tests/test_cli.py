@@ -162,6 +162,16 @@ def test_invalid_config_value_fails_like_its_flag(tmp_path, capsys, cells, key, 
     assert cells == []
 
 
+def test_invalid_config_boolean_names_file_and_line(tmp_path, capsys, cells):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# booleans\ntiming = maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*_run_args(tmp_path / "x.csv"), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: expected a boolean, got 'maybe'" in capsys.readouterr().err
+    assert cells == []
+
+
 def test_run_no_timing_reruns_are_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

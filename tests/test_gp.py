@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vorbo import gp
-from vorbo.gp import GpHyper, SurrogateFitError
+from vorbo.gp import SurrogateFitError
 
 
 def _dense_moments(model, queries):
@@ -38,24 +38,38 @@ def _fit_data(seed, n=25, dim=2):
 
 
 def test_kernel_frozen_values():
-    hyper = GpHyper(lengthscales=np.ones(2), tau_sq=1.0, nugget=1e-8)
-    assert gp.kernel(hyper, np.zeros(2), np.zeros(2)) == 1.0
-    assert gp.kernel(hyper, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(
+    origin = np.zeros((1, 2))
+    assert gp._corr(origin, origin, np.ones(2))[0, 0] == 1.0
+    assert gp._corr(origin, np.array([[1.0, 0.0]]), np.ones(2))[0, 0] == pytest.approx(
         np.exp(-1.0), rel=1e-12
     )
-    hyper2 = GpHyper(lengthscales=np.array([0.5, 2.0]), tau_sq=3.0, nugget=1e-8)
-    assert gp.kernel(hyper2, np.zeros(2), np.zeros(2)) == 3.0
+    assert gp._corr(origin, np.ones((1, 2)), np.array([0.5, 2.0]))[0, 0] == pytest.approx(
+        np.exp(-2.5), rel=1e-12
+    )
+
+
+def test_kernel_diagonal_is_one_and_symmetric():
+    X = np.random.default_rng(15).random((30, 5))
+    c = gp._corr(X, X, np.array([0.01, 0.3, 1.0, 4.0, 9.0]))
+    assert (np.diag(c) == 1.0).all()
+    np.testing.assert_array_equal(c, c.T)
 
 
 def test_kernel_vanishes_at_large_separation():
-    hyper = GpHyper(lengthscales=np.full(3, 0.1), tau_sq=2.0, nugget=1e-8)
-    assert gp.kernel(hyper, np.zeros(3), np.full(3, 50.0)) < 1e-300
+    assert gp._corr(np.zeros((1, 3)), np.full((1, 3), 50.0), np.full(3, 0.1))[0, 0] < 1e-300
 
 
-def test_kernel_rejects_nonpositive_lengthscale():
-    hyper = GpHyper(lengthscales=np.array([1.0, -1.0]), tau_sq=1.0, nugget=1e-8)
-    with pytest.raises(ValueError):
-        gp.kernel(hyper, np.zeros(2), np.ones(2))
+@pytest.mark.parametrize(
+    "lengthscales",
+    [[0.5], [-0.5, 0.5], [np.nan, 0.5]],
+    ids=["wrong-shape", "negative", "nan"],
+)
+def test_bad_lengthscales_are_rejected(lengthscales):
+    X, y = _fit_data(16, n=10)
+    with pytest.raises(ValueError, match="lengthscales"):
+        gp.build(X, y, lengthscales)
+    with pytest.raises(ValueError, match="lengthscales"):
+        gp.fit(X, y, lengthscales)
 
 
 # ------------------------------- predict ------------------------------------
@@ -78,7 +92,7 @@ def test_moments_match_dense_oracle():
 
 def test_interpolation_at_training_points():
     X, y = _fit_data(1)
-    model = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
+    model = gp.fit(X, y, np.full(2, 0.5))
     mean, sd = gp.predict(model, X)
     tau = np.sqrt(model.hyper.tau_sq)
     assert np.abs(mean - y).max() < 1e-4
@@ -87,7 +101,7 @@ def test_interpolation_at_training_points():
 
 def test_sd_at_training_points_bounded_by_nugget():
     X, y = _fit_data(2)
-    model = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
+    model = gp.fit(X, y, np.full(2, 0.5))
     _, sd = gp.predict(model, X)
     bound = np.sqrt(model.hyper.nugget * model.hyper.tau_sq) + 1e-8
     assert (sd <= bound).all()
@@ -103,7 +117,7 @@ def test_far_query_reverts_to_prior():
 
 def test_predictive_variance_nonnegative_and_deterministic():
     X, y = _fit_data(4, n=40)
-    model = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
+    model = gp.fit(X, y, np.full(2, 0.5))
     q = np.random.default_rng(5).random((200, 2))
     m1, s1 = gp.predict(model, q)
     m2, s2 = gp.predict(model, q)
@@ -114,11 +128,10 @@ def test_predictive_variance_nonnegative_and_deterministic():
 
 def test_factorization_reproduces_kernel_matrix():
     X, y = _fit_data(6)
-    model = gp.build(X, y, np.array([0.3, 1.2]))
+    ls = np.array([0.3, 1.2])
+    model = gp.build(X, y, ls)
     hyper = model.hyper
-    k_full = np.empty((len(X), len(X)))
-    for i in range(len(X)):
-        k_full[i] = gp.kernel(hyper, X[i][None, :], X)
+    k_full = hyper.tau_sq * np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
     reconstructed = hyper.tau_sq * (model.chol @ model.chol.T)
     target = k_full + hyper.tau_sq * hyper.nugget * np.eye(len(X))
     assert np.abs(reconstructed - target).max() <= 1e-8
@@ -144,13 +157,35 @@ def test_likelihood_gradient_matches_finite_differences():
             assert abs(grad[p] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("n, dim", [(18, 3), (60, 20)])
+def test_likelihood_gradient_matches_per_dimension_loop(n, dim):
+    # the textbook form, one dA/dtheta_p at a time, with the nugget gp picks;
+    # the single-product form must agree up to round-off
+    X, y = _fit_data(17, n=n, dim=dim)
+    yc = y - y.mean()
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        theta = rng.uniform(np.log(0.05), np.log(5.0), size=dim)
+        ls = np.exp(theta)
+        corr = np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
+        low, _ = gp._factor_with_escalation(corr)
+        a_inv = np.linalg.inv(low @ low.T)
+        alpha = a_inv @ yc
+        ref = np.empty(dim)
+        for p in range(dim):
+            d_a = corr * (X[:, p, None] - X[None, :, p]) ** 2 / ls[p]
+            ref[p] = -0.5 * n * (alpha @ d_a @ alpha) / (yc @ alpha) + 0.5 * (a_inv * d_a).sum()
+        _, grad = gp._nll_and_grad(theta, X, yc)
+        assert np.abs(grad - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_fit_improves_on_warm_start():
     X, y = _fit_data(10, n=30)
-    init = GpHyper(np.full(2, 5.0), 1.0, 1e-8)
+    init = np.full(2, 5.0)
     model = gp.fit(X, y, init)
     yc = y - y.mean()
     nll_fit = gp._nll_and_grad(np.log(model.hyper.lengthscales), X, yc)[0]
-    nll_init = gp._nll_and_grad(np.log(init.lengthscales), X, yc)[0]
+    nll_init = gp._nll_and_grad(np.log(init), X, yc)[0]
     assert nll_fit <= nll_init + 1e-9
 
 
@@ -165,7 +200,7 @@ def test_fit_recovers_known_lengthscale():
         X = rng.random((60, 1))
         c = np.exp(-((X - X.T) ** 2) / true_corr_len**2) + 1e-10 * np.eye(60)
         y = np.linalg.cholesky(c) @ rng.standard_normal(60)
-        model = gp.fit(X, y, GpHyper(np.ones(1), 1.0, 1e-8))
+        model = gp.fit(X, y, np.ones(1))
         if 0.15 <= np.sqrt(model.hyper.lengthscales[0]) <= 0.6:
             hits += 1
     assert hits >= 90
@@ -177,7 +212,7 @@ def test_unidentifiable_data_hits_box_bound():
     # interior optimum; this must be an ordinary answer, not an error
     X = np.array([[0.0], [0.3]])
     y = np.array([0.0, 5.0])
-    model = gp.fit(X, y, GpHyper(np.ones(1), 1.0, 1e-8))
+    model = gp.fit(X, y, np.ones(1))
     lo, hi = gp.LENGTHSCALE_BOUNDS
     ls = model.hyper.lengthscales[0]
     assert ls == pytest.approx(lo, rel=1e-6) or ls == pytest.approx(hi, rel=1e-6)
@@ -188,7 +223,7 @@ def test_unidentifiable_data_hits_box_bound():
 def test_constant_outputs_keep_model_usable():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 2.0])
-    model = gp.fit(X, y, GpHyper(np.ones(1), 1.0, 1e-8))
+    model = gp.fit(X, y, np.ones(1))
     assert model.hyper.tau_sq == gp.TAU_SQ_FLOOR
     mean, sd = gp.predict(model, np.array([[0.5]]))
     assert mean[0] == pytest.approx(2.0)
@@ -197,7 +232,7 @@ def test_constant_outputs_keep_model_usable():
 
 def test_fit_requires_two_points():
     with pytest.raises(ValueError, match="at least 2"):
-        gp.fit(np.array([[0.5]]), np.array([1.0]), GpHyper(np.ones(1), 1.0, 1e-8))
+        gp.fit(np.array([[0.5]]), np.array([1.0]), np.ones(1))
 
 
 def test_escalation_gives_up_on_indefinite_matrix():
@@ -208,8 +243,8 @@ def test_escalation_gives_up_on_indefinite_matrix():
 
 def test_fit_determinism():
     X, y = _fit_data(12)
-    a = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
-    b = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
+    a = gp.fit(X, y, np.full(2, 0.5))
+    b = gp.fit(X, y, np.full(2, 0.5))
     np.testing.assert_array_equal(a.hyper.lengthscales, b.hyper.lengthscales)
     assert a.hyper.tau_sq == b.hyper.tau_sq
 
@@ -219,11 +254,13 @@ def test_fit_determinism():
 
 def test_moment_gradients_match_finite_differences():
     X, y = _fit_data(13, n=20)
-    model = gp.fit(X, y, GpHyper(np.full(2, 0.5), 1.0, 1e-8))
+    model = gp.fit(X, y, np.full(2, 0.5))
     rng = np.random.default_rng(14)
     h = 1e-6
     for q in rng.random((25, 2)):
-        dmean, dsd = gp.predict_grad(model, q)
+        mean, sd, dmean, dsd = gp.predict_grad(model, q)
+        m0, s0 = gp.predict(model, q[None, :])
+        assert mean == m0[0] and sd == s0[0]
         for p in range(2):
             step = np.zeros(2)
             step[p] = h
