@@ -6,7 +6,7 @@ with z = (y_min - mu)/sigma,
     EI = (y_min - mu) * Phi(z) + sigma * phi(z),
 
 falling back to the deterministic improvement max(y_min - mu, 0) when sigma
-is numerically zero.  `argmax_discrete` scores a candidate set with `ei`;
+is numerically zero.  `argmax_discrete` scores candidate points with `ei`;
 `multistart_opt` ascends `ei_and_grad`, which takes the value and the
 gradient from one predictive pass per point.
 """
@@ -21,7 +21,6 @@ from scipy.stats import norm
 
 from . import gp
 from .sampling import lhs
-from .vorcands import CandidateSet
 
 #: Predictive sds at or below this are treated as exactly zero in EI.
 SD_FLOOR = 1e-10
@@ -72,11 +71,8 @@ def ei_and_grad(
     return value, -dmean if mean < y_min else np.zeros_like(dmean)
 
 
-def argmax_discrete(
-    model: gp.GpModel, candidates: CandidateSet | np.ndarray, y_min: float
-) -> AcqResult:
-    """Best candidate by EI; ties resolve to the smallest index."""
-    points = candidates.points if isinstance(candidates, CandidateSet) else np.asarray(candidates)
+def argmax_discrete(model: gp.GpModel, points: np.ndarray, y_min: float) -> AcqResult:
+    """Best of the candidate rows `points` by EI; ties resolve to the smallest index."""
     if points.shape[0] < 1:
         raise ValueError("candidate set is empty")
     values = ei(model, points, y_min)

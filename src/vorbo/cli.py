@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .bench import NATIVE_DOMAINS, PROBLEM_NAMES, make_problem
-from .driver import METHODS, ExperimentConfig, _fmt, _write_lines, run_suite
+from .driver import METHODS, ExperimentConfig, _fmt, _write_lines, candidate_points, run_suite
 from .metrics import Metric
-from .sampling import lhs, sobol
-from .vorcands import STRATEGIES, boundary_proportion, scheme_final
+from .sampling import lhs
+from .vorcands import STRATEGIES, boundary_proportion
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
@@ -168,18 +168,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         dim = args.dim
         design = lhs(args.n, dim, np.random.default_rng([args.seed]))
 
-    if args.scheme == "vor":
-        points = scheme_final(
-            design,
-            args.count,
-            args.iteration,
-            args.incumbent,
-            np.random.default_rng([args.seed, args.iteration]),
-        ).points
-    elif args.scheme == "lhs":
-        points = lhs(args.count, dim, np.random.default_rng([args.seed, args.iteration]))
-    else:
-        points = sobol(args.count, dim, start_index=1 + args.iteration * args.count)
+    rng = np.random.default_rng([args.seed, args.iteration])
+    points = candidate_points(args.scheme, design, args.count, args.iteration, args.incumbent, rng)
 
     lines = ["tag," + ",".join(f"x{p}" for p in range(dim))]
     for row in design:

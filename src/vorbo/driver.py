@@ -116,6 +116,23 @@ def _shared_start(
     return problem, design, y
 
 
+def candidate_points(
+    method: str,
+    design: np.ndarray,
+    count: int,
+    iteration: int,
+    incumbent: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """`count` candidates of a discrete method ("vor", "lhs" or "sobol")."""
+    if method == "vor":
+        return scheme_final(design, count, iteration, incumbent, rng).points
+    if method == "lhs":
+        return lhs(count, design.shape[1], rng)
+    # sobol: advance through the sequence so each iteration is fresh
+    return sobol(count, design.shape[1], start_index=1 + iteration * count)
+
+
 def _propose(
     method: str,
     model: gp.GpModel,
@@ -133,13 +150,7 @@ def _propose(
         res = acquisition.multistart_opt(model, y_min, design[incumbent], rng)
         return res.point, time.perf_counter() - t0
     t0 = time.perf_counter()
-    if method == "vor":
-        cands = scheme_final(design, n_cand, iteration, incumbent, rng)
-        points = cands.points
-    elif method == "lhs":
-        points = lhs(n_cand, design.shape[1], rng)
-    else:  # sobol: advance through the sequence so each iteration is fresh
-        points = sobol(n_cand, design.shape[1], start_index=1 + iteration * n_cand)
+    points = candidate_points(method, design, n_cand, iteration, incumbent, rng)
     gen_seconds = time.perf_counter() - t0
     return acquisition.argmax_discrete(model, points, y_min).point, gen_seconds
 

@@ -183,10 +183,16 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     lo, hi = LENGTHSCALE_BOUNDS
     yc = y - y.mean()
     theta0 = np.clip(np.log(lengthscales), np.log(lo), np.log(hi))
+    values = []
+
+    def nll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, grad = _nll_and_grad(theta, design, yc)
+        values.append(nll)
+        return nll, grad
+
     res = minimize(
-        _nll_and_grad,
+        nll_and_grad,
         theta0,
-        args=(design, yc),
         jac=True,
         method="L-BFGS-B",
         bounds=[(np.log(lo), np.log(hi))] * design.shape[1],
@@ -194,8 +200,9 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     )
     # L-BFGS-B only ever accepts descent steps, but guard against a
     # pathological line search anyway: keep the better of start and result.
+    # Its first evaluation is at theta0 (already inside the box).
     theta = res.x
-    if not np.isfinite(res.fun) or res.fun > _nll_and_grad(theta0, design, yc)[0]:
+    if not np.isfinite(res.fun) or res.fun > values[0]:
         theta = theta0
     return build(design, y, np.exp(theta))
 

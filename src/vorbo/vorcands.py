@@ -34,12 +34,15 @@ flagged `uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
 whose full step never leaves its origin's cell is flagged `boundary_hit`:
-the direction scalings used by the sampling wrappers make such a step leave
-the cube itself, so a flagged candidate is pinned to a cube face by the
-clamp.  The sampling wrappers then pull every candidate that touches a
-face -- flagged or merely clamped -- halfway back toward its origin, which
-keeps candidates off the (rarely optimal) faces of the cube without
-discarding the direction searched.
+the direction scalings of `walk_sample` make such a step leave the cube
+itself, so a flagged candidate is pinned to a cube face by the clamp.
+`walk_sample` draws a batch of origins and directions for one strategy
+(unif, rect or proj) in one place, walks it, and pulls every candidate that
+touches a face -- flagged or merely clamped -- halfway back toward its
+origin, which keeps candidates off the (rarely optimal) faces of the cube
+without discarding the direction searched.  `scheme_final` (the optimizer's
+scheme) and `boundary_proportion` (the wall-hit study) are built on the same
+batch.
 """
 
 from __future__ import annotations
@@ -72,40 +75,12 @@ STRATEGIES = ("unif", "rect", "proj")
 
 
 @dataclass
-class WalkBatch:
-    """A batch of walk specifications: where to start and which way to go."""
-
-    origins: np.ndarray
-    directions: np.ndarray
-    bisection_iters: int = BISECTION_ITERS
-
-    def validate(self, design: np.ndarray) -> None:
-        n, dim = design.shape
-        if self.origins.ndim != 1 or self.directions.ndim != 2:
-            raise ValueError("origins must be 1-D and directions 2-D")
-        if self.directions.shape != (self.origins.shape[0], dim):
-            raise ValueError(
-                f"directions shape {self.directions.shape} does not match "
-                f"{self.origins.shape[0]} origins in dimension {dim}"
-            )
-        if self.bisection_iters < 1:
-            raise ValueError(f"bisection_iters must be >= 1, got {self.bisection_iters}")
-        if self.origins.min(initial=0) < 0 or self.origins.max(initial=0) >= n:
-            raise ValueError("origin indices out of range")
-        if not np.isfinite(self.directions).all():
-            raise ValueError("directions must be finite")
-        norms = np.sqrt((self.directions * self.directions).sum(axis=1))
-        if not (norms > 0.0).all():
-            raise ValueError("every direction must have positive norm")
-
-
-@dataclass
 class CandidateSet:
     """Walk results.
 
     `t_lower` and `directions` describe the final bracket
     [t_lower, t_lower + bracket_width] of the underlying walk; `points` holds
-    the clamped bracket midpoints, except that the sampling wrappers replace
+    the clamped bracket midpoints, except that `walk_sample` replaces
     face-touching candidates by the point halfway back to their origin.
     `boundary_hit` marks walks whose full step never left the origin's cell
     (the bracket never closed), and `uncertified` marks walks whose shot
@@ -207,40 +182,55 @@ def _bracket(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     return t_lo, t_lo + width
 
 
-def vorwalk(design: np.ndarray, batch: WalkBatch, metric: Metric) -> CandidateSet:
+def vorwalk(
+    design: np.ndarray, origins: np.ndarray, directions: np.ndarray, metric: Metric
+) -> CandidateSet:
     """Run a batch of walks against `design` under `metric`.
 
-    Each walk c starts at ``design[batch.origins[c]]`` and shoots along
-    ``batch.directions[c]`` from t = 1: each round queries the nearest
-    design point of every live probe (one batched query), a walk whose
-    origin owns its probe is done, and any other jumps t to the crossing of
-    its blocker's bisector with the ray.  A crossing does not depend on t,
-    so t falls strictly and no blocker is visited twice; a walk also stops
-    when the crossing does not lower t (rounding can leave the blocker
-    nearer at its own crossing).
+    Each walk c starts at ``design[origins[c]]`` and shoots along
+    ``directions[c]`` from t = 1: each round queries the nearest design
+    point of every live probe (one batched query), a walk whose origin owns
+    its probe is done, and any other jumps t to the crossing of its
+    blocker's bisector with the ray.  A crossing does not depend on t, so t
+    falls strictly and no blocker is visited twice; a walk also stops when
+    the crossing does not lower t (rounding can leave the blocker nearer at
+    its own crossing).
 
-    With K = ``batch.bisection_iters``, the final crossing t* becomes the
-    bracket [t* - 2^-(K+1), t* + 2^-(K+1)], certified by two batched
-    queries: the origin must own the lower end, and then not the upper end.
-    A lower end owned by another design point names a blocker the shooting
-    missed (near a cell vertex, or behind a tie); the walk jumps to that
-    blocker's crossing, shoots on, and is certified again.  Walks that
-    still fail rerun a K-round bisection on the owner predicate and are
-    flagged `uncertified`.  The returned points are the bracket midpoints,
-    clamped to the cube.
+    With K = `BISECTION_ITERS`, the final crossing t* becomes the bracket
+    [t* - 2^-(K+1), t* + 2^-(K+1)], certified by two batched queries: the
+    origin must own the lower end, and then not the upper end.  A lower end
+    owned by another design point names a blocker the shooting missed (near
+    a cell vertex, or behind a tie); the walk jumps to that blocker's
+    crossing, shoots on, and is certified again.  Walks that still fail
+    rerun a K-round bisection on the owner predicate and are flagged
+    `uncertified`.  The returned points are the bracket midpoints, clamped
+    to the cube.
 
     A candidate is flagged `boundary_hit` when the origin's cell never
     ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
-    would give.  Directions scaled past the cube's own extent (as the
-    sampling wrappers do) make such a step exit the cube, so flagged
+    would give.  Directions scaled past the cube's own extent (as
+    `walk_sample` scales them) make such a step exit the cube, so flagged
     candidates sit pinned on a cube face.
     """
     design = _as_design(design)
-    batch.validate(design)
+    n, dim = design.shape
+    if origins.ndim != 1 or directions.ndim != 2:
+        raise ValueError("origins must be 1-D and directions 2-D")
+    if directions.shape != (origins.shape[0], dim):
+        raise ValueError(
+            f"directions shape {directions.shape} does not match "
+            f"{origins.shape[0]} origins in dimension {dim}"
+        )
+    if origins.min(initial=0) < 0 or origins.max(initial=0) >= n:
+        raise ValueError("origin indices out of range")
+    if not np.isfinite(directions).all():
+        raise ValueError("directions must be finite")
+    if not (np.sqrt((directions * directions).sum(axis=1)) > 0.0).all():
+        raise ValueError("every direction must have positive norm")
+
     index = nn_index.build(design, metric)
-    origins, directions = batch.origins, batch.directions
     anchors = design[origins]
-    width = 0.5**batch.bisection_iters
+    width = 0.5**BISECTION_ITERS
     t = np.ones(len(origins))
     certified = np.zeros(len(origins), dtype=bool)
 
@@ -279,7 +269,7 @@ def vorwalk(design: np.ndarray, batch: WalkBatch, metric: Metric) -> CandidateSe
     redo = np.flatnonzero(~certified)
     if redo.size:
         t_lo[redo], t_hi[redo] = _bisect(
-            index, anchors[redo], directions[redo], origins[redo], batch.bisection_iters
+            index, anchors[redo], directions[redo], origins[redo], BISECTION_ITERS
         )
 
     mid = 0.5 * (t_lo + t_hi)
@@ -294,7 +284,7 @@ def vorwalk(design: np.ndarray, batch: WalkBatch, metric: Metric) -> CandidateSe
     )
 
 
-def halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
+def _halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
     """Pull every face-touching point to the midpoint between it and its origin.
 
     A candidate touches a face when its walk was flagged (the step never
@@ -306,7 +296,6 @@ def halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
     `boundary_hit` flags are kept as diagnostics.  Operates in place and
     returns the same set.
     """
-    design = _as_design(design)
     pinned = (cands.points == 0.0).any(axis=1) | (cands.points == 1.0).any(axis=1)
     hit = cands.boundary_hit | pinned
     if hit.any():
@@ -314,136 +303,85 @@ def halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
     return cands
 
 
-def _unif_directions(
-    count: int, dim: int, metric: Metric, rng: np.random.Generator
-) -> np.ndarray:
-    """Isotropic directions scaled so the walk metric's norm is sqrt(dim)."""
-    scale = np.sqrt(dim) * (1.0 + _NORM_SLACK)
-    d = rng.standard_normal((count, dim))
-    norms = distance(metric, d, 0.0)
-    for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
-        d[i] = sphere_direction(dim, rng)
-        norms[i] = distance(metric, d[i], 0.0)
-    return d * (scale / norms)[:, None]
-
-
-def _rect_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    scale = np.sqrt(dim) * (1.0 + _NORM_SLACK)
-    axes = rng.integers(0, 2 * dim, size=count)
-    d = np.zeros((count, dim))
-    d[np.arange(count), axes % dim] = np.where(axes < dim, scale, -scale)
-    return d
-
-
-def _sample_origins(
-    n: int, count: int, incumbent: int | None, rng: np.random.Generator
-) -> np.ndarray:
-    """`count` origin indices drawn uniformly with replacement.
-
-    Draws from all `n` design points, or, given an incumbent, from the other
-    n - 1 (all zeros when the incumbent is the only point).  `direct_sample`
-    starts its first min(2P, count) walks at the incumbent itself.
-    """
-    if incumbent is None:
-        return rng.integers(0, n, size=count).astype(np.intp)
-    if n == 1:
-        return np.zeros(count, dtype=np.intp)
-    others = np.delete(np.arange(n), incumbent)
-    return others[rng.integers(0, n - 1, size=count)].astype(np.intp)
-
-
-def direct_sample(
+def _walk_batch(
     design: np.ndarray,
     count: int,
     strategy: str,
     metric: Metric,
-    incumbent: int,
+    incumbent: int | None,
     rng: np.random.Generator,
-) -> CandidateSet:
-    """Walk candidates with freshly drawn origins and directions.
-
-    `strategy` is "unif" (isotropic directions, scaled to norm sqrt(P) under
-    the walk metric) or "rect" (signed coordinate axes of length sqrt(P),
-    the same under every metric).  The first min(2P, count) walks start from
-    the incumbent design point; remaining origins are drawn uniformly (with
-    replacement) from the other design points.  Origins are drawn before
-    directions.  Face-touching candidates are pulled halfway back toward
-    their origins.
-    """
-    design = _as_design(design)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Origins and directions of `count` walks of one strategy (see `walk_sample`)."""
     n, dim = design.shape
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not 0 <= incumbent < n:
-        raise ValueError(f"incumbent {incumbent} out of range for {n} design points")
-    if strategy not in ("unif", "rect"):
-        raise ValueError(f"strategy must be 'unif' or 'rect', got {strategy!r}")
-
-    n_inc = min(2 * dim, count)
-    origins = np.concatenate(
-        [
-            np.full(n_inc, incumbent, dtype=np.intp),
-            _sample_origins(n, count - n_inc, incumbent, rng),
-        ]
-    )
-    directions = (
-        _unif_directions(count, dim, metric, rng)
-        if strategy == "unif"
-        else _rect_directions(count, dim, rng)
-    )
-    cands = vorwalk(design, WalkBatch(origins=origins, directions=directions), metric)
-    return halfway_rule(cands, design)
-
-
-def _project_batch(
-    design: np.ndarray,
-    pre: np.ndarray,
-    metric: Metric,
-    rng: np.random.Generator,
-) -> WalkBatch:
-    """Aim one walk at each precandidate, from its nearest design point."""
-    dim = design.shape[1]
-    index = nn_index.build(design, metric)
-    owner = nn_index.nearest_batch(index, pre)
-    diff = pre - design[owner]
-    norms = np.sqrt((diff * diff).sum(axis=1))
-    for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
-        diff[i] = sphere_direction(dim, rng)
-        norms[i] = 1.0
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     scale = np.sqrt(dim) * (1.0 + _NORM_SLACK)
-    return WalkBatch(origins=owner, directions=diff * (scale / norms)[:, None])
+
+    if strategy == "proj":
+        # one walk from each precandidate's nearest design point toward it
+        pre = lhs(count, dim, rng)
+        origins = nn_index.nearest_batch(nn_index.build(design, metric), pre)
+        d = pre - design[origins]
+        norms = np.sqrt((d * d).sum(axis=1))
+        for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
+            d[i] = sphere_direction(dim, rng)
+            norms[i] = 1.0
+        return origins, d * (scale / norms)[:, None]
+
+    # origins before directions; with an incumbent, the other origins are
+    # drawn from the other n - 1 points (all zeros when it is the only one)
+    if incumbent is None:
+        origins = rng.integers(0, n, size=count).astype(np.intp)
+    else:
+        if not 0 <= incumbent < n:
+            raise ValueError(f"incumbent {incumbent} out of range for {n} design points")
+        n_inc = min(2 * dim, count)
+        others = np.zeros(count - n_inc, dtype=np.intp)
+        if n > 1:
+            others = np.delete(np.arange(n), incumbent)[rng.integers(0, n - 1, others.size)]
+        origins = np.concatenate([np.full(n_inc, incumbent, dtype=np.intp), others.astype(np.intp)])
+
+    if strategy == "unif":
+        d = rng.standard_normal((count, dim))
+        norms = distance(metric, d, 0.0)
+        for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
+            d[i] = sphere_direction(dim, rng)
+            norms[i] = distance(metric, d[i], 0.0)
+        return origins, d * (scale / norms)[:, None]
+    axes = rng.integers(0, 2 * dim, size=count)
+    d = np.zeros((count, dim))
+    d[np.arange(count), axes % dim] = np.where(axes < dim, scale, -scale)
+    return origins, d
 
 
-def project_sample(
+def walk_sample(
     design: np.ndarray,
-    precandidates: np.ndarray,
+    count: int,
+    strategy: str,
     metric: Metric,
-    rng: np.random.Generator | None = None,
+    incumbent: int | None,
+    rng: np.random.Generator,
 ) -> CandidateSet:
-    """Walk candidates aimed at space-filling precandidate locations.
+    """`count` walk candidates of one strategy, pulled off the cube faces.
 
-    Each precandidate z is assigned to its nearest design point x_n, and a
-    walk runs from x_n in the direction of z, scaled to Euclidean length
-    sqrt(P) so the step spans the cube.  The walk lands on the cell boundary
-    nearest to z's own cell location, so the candidates inherit the
-    precandidates' spread without any origin bias.  Precandidates that
-    coincide with their nearest design point carry no direction and are
-    redirected uniformly at random (`rng`; a fixed fallback generator is
-    used when omitted).  Face-touching candidates are pulled halfway back
-    toward their origins.
+    "unif" walks go along isotropic directions scaled to norm sqrt(P) under
+    the walk metric, "rect" walks along signed coordinate axes of length
+    sqrt(P), the same under every metric.  Given an `incumbent` design
+    index, the first min(2P, count) of these walks start there and the
+    rest from the other design points; without one, every origin is drawn
+    uniformly (with replacement) from all design points.  "proj" walks
+    ignore the incumbent: each point z of a fresh Latin hypercube starts a
+    walk at its nearest design point, aimed at z with Euclidean length
+    sqrt(P), so the candidates inherit the hypercube's spread without an
+    origin bias; a z on its design point carries no direction and is
+    redirected uniformly at random.  Face-touching candidates are pulled
+    halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
-    pre = np.asarray(precandidates, dtype=float)
-    if pre.ndim != 2 or pre.shape[1] != design.shape[1]:
-        raise ValueError(
-            f"precandidates must have shape (C, {design.shape[1]}), got {pre.shape}"
-        )
-    if pre.shape[0] < 1:
-        raise ValueError("need at least one precandidate")
-    gen = rng if rng is not None else np.random.default_rng(0)
-    batch = _project_batch(design, pre, metric, gen)
-    cands = vorwalk(design, batch, metric)
-    return halfway_rule(cands, design)
+    origins, directions = _walk_batch(design, count, strategy, metric, incumbent, rng)
+    return _halfway_rule(vorwalk(design, origins, directions, metric), design)
 
 
 def scheme_final(
@@ -463,9 +401,8 @@ def scheme_final(
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
     if iteration % 2 == 0:
-        return direct_sample(design, count, "rect", Metric.LINF, incumbent, rng)
-    pre = lhs(count, np.asarray(design).shape[1], rng)
-    return project_sample(design, pre, Metric.LINF, rng=rng)
+        return walk_sample(design, count, "rect", Metric.LINF, incumbent, rng)
+    return walk_sample(design, count, "proj", Metric.LINF, None, rng)
 
 
 def boundary_proportion(
@@ -483,22 +420,5 @@ def boundary_proportion(
     fraction of walks whose step ran out before the origin's cell did.
     """
     design = _as_design(design)
-    n, dim = design.shape
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-
-    if strategy == "proj":
-        batch = _project_batch(design, lhs(count, dim, rng), metric, rng)
-    else:
-        origins = _sample_origins(n, count, None, rng)
-        directions = (
-            _unif_directions(count, dim, metric, rng)
-            if strategy == "unif"
-            else _rect_directions(count, dim, rng)
-        )
-        batch = WalkBatch(origins=origins, directions=directions)
-
-    cands = vorwalk(design, batch, metric)
-    return float(cands.boundary_hit.mean())
+    origins, directions = _walk_batch(design, count, strategy, metric, None, rng)
+    return float(vorwalk(design, origins, directions, metric).boundary_hit.mean())

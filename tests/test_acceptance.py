@@ -20,7 +20,7 @@ from scipy.stats import binomtest
 
 from vorbo import acquisition, gp, sampling
 from vorbo.metrics import Metric, distance
-from vorbo.vorcands import WalkBatch, scheme_final, vorwalk
+from vorbo.vorcands import scheme_final, vorwalk
 
 
 def _cli(args: list[str], timeout: float) -> None:
@@ -55,8 +55,7 @@ def test_criterion_1_equidistance_geometry_core():
         partners = (origins + rng.integers(1, 50, size=200)) % 50
         diff = design[partners] - design[origins]
         scale = np.sqrt(10.0) * (1 + 1e-9) / np.sqrt((diff * diff).sum(axis=1))
-        batch = WalkBatch(origins=origins, directions=diff * scale[:, None])
-        cs = vorwalk(design, batch, metric)
+        cs = vorwalk(design, origins, diff * scale[:, None], metric)
 
         assert not cs.boundary_hit.any()  # every candidate is non-boundary
         np.testing.assert_array_equal(cs.bracket_width, 0.5**30)
@@ -131,6 +130,7 @@ def test_claim_b_pooled_check_catches_a_reversal():
                                 ("unif", "l2", 1000, 100): 0, ("unif", "linf", 1000, 100): 0}) == []
 
 
+@pytest.mark.slow
 def test_criterion_2_boundary_study_reproduction(tmp_path):
     out = tmp_path / "study.csv"
     start = time.perf_counter()
@@ -249,6 +249,7 @@ def test_criterion_4_ei_oracle_equivalence():
 # -----------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_candidate_scaling():
     design = np.random.default_rng(51).random((2000, 100))
     for iteration in (0, 1):
@@ -268,6 +269,7 @@ def test_criterion_5_candidate_scaling():
 # -----------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_bo_comparison(tmp_path):
     out = tmp_path / "bo.csv"
     start = time.perf_counter()

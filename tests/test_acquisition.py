@@ -11,8 +11,6 @@ from vorbo.acquisition import (
     ei_values,
     multistart_opt,
 )
-from vorbo.vorcands import STRATEGIES, direct_sample
-from vorbo.metrics import Metric
 
 
 def _toy_model(seed=0, n=20, dim=2):
@@ -108,22 +106,6 @@ def test_argmax_rejects_empty_set():
     model, X, y = _toy_model(7)
     with pytest.raises(ValueError, match="empty"):
         argmax_discrete(model, np.empty((0, 2)), y.min())
-
-
-def test_argmax_accepts_candidate_sets():
-    model, X, y = _toy_model(8)
-    rng = np.random.default_rng(9)
-    cs = direct_sample(
-        design=X,
-        count=30,
-        strategy="rect",
-        metric=Metric.LINF,
-        incumbent=int(np.argmin(y)),
-        rng=rng,
-    )
-    res = argmax_discrete(model, cs, y.min())
-    vals = ei(model, cs.points, y.min())
-    assert res.acq_value == vals.max()
 
 
 def test_distant_candidate_beats_training_point():

@@ -123,6 +123,54 @@ def test_fit_failure_falls_back_to_rebuild(monkeypatch):
     assert all(np.isfinite(r.y) for r in records)
 
 
+def _failing_from(rows, real):
+    """`real`, except that designs of more than `rows` points raise SurrogateFitError."""
+
+    def call(design, y, lengthscales):
+        if design.shape[0] > rows:
+            raise gp.SurrogateFitError("synthetic failure")
+        return real(design, y, lengthscales)
+
+    return call
+
+
+def test_fit_and_rebuild_failure_keeps_the_previous_model(monkeypatch):
+    # 6 initial points, 4 acquisitions: from iteration 2 (8 rows) on, both the
+    # refit and the rebuild fail, and the cell proposes from iteration 1's model
+    config = _config(budget=10)
+    monkeypatch.setattr(driver.gp, "fit", _failing_from(7, gp.fit))
+    monkeypatch.setattr(driver.gp, "build", _failing_from(7, gp.build))
+    models = []
+    real_propose = driver._propose
+
+    def recording_propose(method, model, *args):
+        models.append(model)
+        return real_propose(method, model, *args)
+
+    monkeypatch.setattr(driver, "_propose", recording_propose)
+    records = run_bo(config, seed=8)
+    assert len(records) == 4
+    assert all(np.isfinite(r.y) for r in records)
+    assert [m.design.shape[0] for m in models] == [6, 7, 7, 7]
+    assert models[0] is not models[1] and models[1] is models[2] is models[3]
+
+
+def test_fit_and_rebuild_failure_on_the_first_iteration_fails_the_cell(monkeypatch, tmp_path):
+    # with no previous model to fall back on, the cell fails, and the suite
+    # records it as a sentinel row
+    monkeypatch.setattr(driver.gp, "fit", _failing_from(0, gp.fit))
+    monkeypatch.setattr(driver.gp, "build", _failing_from(0, gp.build))
+    out = tmp_path / "runs.csv"
+    config = _config(budget=8, out=str(out))
+    with pytest.raises(gp.SurrogateFitError, match="synthetic failure"):
+        run_bo(config, seed=0)
+    records, failures = run_suite(config)
+    assert failures == [("vor", 0, "SurrogateFitError: synthetic failure")]
+    assert len(records) == 1 and records[0].iteration == -1 and np.isnan(records[0].y)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[:5] == ["0", "vor", "ackley", "2", "-1"]
+
+
 # ------------------------------- run_suite ----------------------------------
 
 

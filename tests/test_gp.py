@@ -189,6 +189,46 @@ def test_fit_improves_on_warm_start():
     assert nll_fit <= nll_init + 1e-9
 
 
+@pytest.mark.parametrize("warm", [0.01, 0.5, 5.0])
+def test_fit_evaluates_the_likelihood_once_per_optimizer_evaluation(warm, monkeypatch):
+    # the guard against ending worse than the warm start reuses the
+    # optimizer's first evaluation, which is at the warm start
+    thetas, nfevs = [], []
+    real_nll, real_minimize = gp._nll_and_grad, gp.minimize
+
+    def counting_nll(theta, *args):
+        thetas.append(theta.copy())
+        return real_nll(theta, *args)
+
+    def recording_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nfevs.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(gp, "_nll_and_grad", counting_nll)
+    monkeypatch.setattr(gp, "minimize", recording_minimize)
+    X, y = _fit_data(13, n=40, dim=5)
+    gp.fit(X, y, np.full(5, warm))
+    assert len(nfevs) == 1 and len(thetas) == nfevs[0]
+    np.testing.assert_array_equal(thetas[0], np.log(np.full(5, warm)))
+
+
+@pytest.mark.parametrize("fun", [1e30, np.nan])
+def test_fit_keeps_the_warm_start_when_the_optimizer_ends_worse(fun, monkeypatch):
+    real_minimize = gp.minimize
+
+    def worse(objective, x0, **kwargs):
+        res = real_minimize(objective, x0, **kwargs)
+        res.x, res.fun = x0 + 1.0, fun
+        return res
+
+    monkeypatch.setattr(gp, "minimize", worse)
+    X, y = _fit_data(14)
+    init = np.full(2, 0.5)
+    model = gp.fit(X, y, init)
+    np.testing.assert_allclose(model.hyper.lengthscales, init, rtol=1e-15)
+
+
 def test_fit_recovers_known_lengthscale():
     # draws from a 1D GP whose correlation length is 0.3 (the kernel parameter
     # divides squared distance, so that is ls = 0.3**2) and checks the fitted

@@ -4,16 +4,14 @@ from scipy.spatial import Voronoi
 
 from vorbo import nn_index, vorcands
 from vorbo.metrics import Metric, distance
+from vorbo.sampling import lhs
 from vorbo.vorcands import (
     BISECTION_ITERS,
     CandidateSet,
-    WalkBatch,
     boundary_proportion,
-    direct_sample,
-    halfway_rule,
-    project_sample,
     scheme_final,
     vorwalk,
+    walk_sample,
 )
 
 
@@ -38,7 +36,7 @@ def _random_batch(design, count, rng):
     scale = np.sqrt(dim) * (1 + 1e-9)
     u = rng.standard_normal((count, dim))
     u *= scale / np.sqrt((u * u).sum(axis=1))[:, None]
-    return WalkBatch(origins=rng.integers(0, n, size=count).astype(np.intp), directions=u)
+    return rng.integers(0, n, size=count).astype(np.intp), u
 
 
 # ------------------------------ vorwalk ------------------------------------
@@ -46,8 +44,7 @@ def _random_batch(design, count, rng):
 
 def test_1d_equidistant_midpoint():
     design = np.array([[0.0], [1.0]])
-    batch = WalkBatch(origins=np.array([0]), directions=np.array([[1.0 + 1e-9]]))
-    cs = vorwalk(design, batch, Metric.L2)
+    cs = vorwalk(design, np.array([0]), np.array([[1.0 + 1e-9]]), Metric.L2)
     assert cs.points[0, 0] == pytest.approx(0.5, abs=1e-8)
     assert not cs.boundary_hit[0]
     assert cs.bracket_width == 0.5**BISECTION_ITERS
@@ -55,8 +52,7 @@ def test_1d_equidistant_midpoint():
 
 def test_1d_wall_hit():
     design = np.array([[0.2], [0.8]])
-    batch = WalkBatch(origins=np.array([0]), directions=np.array([[-(1.0 + 1e-9)]]))
-    cs = vorwalk(design, batch, Metric.L2)
+    cs = vorwalk(design, np.array([0]), np.array([[-(1.0 + 1e-9)]]), Metric.L2)
     assert cs.boundary_hit[0]
     assert cs.points[0, 0] == pytest.approx(0.0, abs=1e-8)
 
@@ -64,7 +60,7 @@ def test_1d_wall_hit():
 def test_2d_diagonal_bisector():
     design = np.array([[0.0, 0.0], [1.0, 1.0]])
     u = np.array([[1.0, 1.0]]) / np.sqrt(2.0) * np.sqrt(2.0) * (1 + 1e-9)
-    cs = vorwalk(design, WalkBatch(origins=np.array([0]), directions=u), Metric.L2)
+    cs = vorwalk(design, np.array([0]), u, Metric.L2)
     np.testing.assert_allclose(cs.points[0], [0.5, 0.5], atol=1e-8)
     assert not cs.boundary_hit[0]
 
@@ -73,8 +69,7 @@ def test_2d_diagonal_bisector():
 def test_bracket_property(metric):
     rng = np.random.default_rng(100)
     design = rng.random((30, 4))
-    batch = _random_batch(design, 150, rng)
-    cs = vorwalk(design, batch, metric)
+    cs = vorwalk(design, *_random_batch(design, 150, rng), metric)
 
     assert np.all(cs.bracket_width == 0.5**BISECTION_ITERS)
     anchors = design[cs.origin]
@@ -93,8 +88,7 @@ def test_bracket_property(metric):
 def test_equidistance_of_interior_candidates(metric):
     rng = np.random.default_rng(101)
     design = rng.random((50, 10))
-    batch = _random_batch(design, 200, rng)
-    cs = vorwalk(design, batch, metric)
+    cs = vorwalk(design, *_random_batch(design, 200, rng), metric)
     # candidates whose bracket closed inside the cube sit on a cell boundary;
     # flagged or clamped ones ran past a wall and land on a face instead
     interior = ~cs.boundary_hit & (cs.points > 0.0).all(axis=1) & (cs.points < 1.0).all(axis=1)
@@ -119,8 +113,7 @@ def test_walks_aimed_at_design_points_land_equidistant(metric):
     partners = (origins + rng.integers(1, 50, size=200)) % 50
     diff = design[partners] - design[origins]
     scale = np.sqrt(10.0) * (1 + 1e-9) / np.sqrt((diff * diff).sum(axis=1))
-    batch = WalkBatch(origins=origins, directions=diff * scale[:, None])
-    cs = vorwalk(design, batch, metric)
+    cs = vorwalk(design, origins, diff * scale[:, None], metric)
 
     assert not cs.boundary_hit.any()
     assert cs.points.min() > 0.0 and cs.points.max() < 1.0
@@ -135,9 +128,9 @@ def test_star_convexity_of_prefix():
     # any sub-step of the accepted lower bound stays in the origin's cell
     rng = np.random.default_rng(102)
     design = rng.random((25, 3))
-    batch = _random_batch(design, 40, rng)
+    origins, directions = _random_batch(design, 40, rng)
     for metric in Metric:
-        cs = vorwalk(design, batch, metric)
+        cs = vorwalk(design, origins, directions, metric)
         for c in range(len(cs)):
             if cs.t_lower[c] == 0.0:
                 continue
@@ -165,8 +158,7 @@ def test_nn_queries_of_a_hand_checked_walk(metric, nn_rows):
     # bisector at 0.5 is confirmed by a second query, and one query per end
     # certifies the bracket
     design = np.array([[0.0], [1.0]])
-    batch = WalkBatch(origins=np.array([0]), directions=np.array([[1.0 + 1e-9]]))
-    cs = vorwalk(design, batch, metric)
+    cs = vorwalk(design, np.array([0]), np.array([[1.0 + 1e-9]]), metric)
     assert nn_rows == [1, 1, 1, 1]
     assert not cs.uncertified[0] and not cs.boundary_hit[0]
     assert cs.t_lower[0] < 0.5 / (1.0 + 1e-9) < cs.t_lower[0] + cs.bracket_width
@@ -179,12 +171,12 @@ def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
     # and the query names 0; the lower end's query names 1, and one more
     # jump lands on the cell boundary at 1/3, where both ends certify
     design = np.array([[0.95, 0.3], [0.5, 0.2], [0.5, 0.5]])
-    batch = WalkBatch(origins=np.array([2]), directions=np.array([[0.6, -0.3]]))
-    cs = vorwalk(design, batch, Metric.LINF)
+    u = np.array([0.6, -0.3])
+    cs = vorwalk(design, np.array([2]), u[None, :], Metric.LINF)
     assert nn_rows == [1, 1, 1, 1, 1, 1]
     assert not cs.uncertified[0] and not cs.boundary_hit[0]
-    lo = design[2] + cs.t_lower[0] * batch.directions[0]
-    hi = design[2] + (cs.t_lower[0] + cs.bracket_width) * batch.directions[0]
+    lo = design[2] + cs.t_lower[0] * u
+    hi = design[2] + (cs.t_lower[0] + cs.bracket_width) * u
     assert _brute_owner(design, lo, Metric.LINF) == 2
     assert _brute_owner(design, hi, Metric.LINF) == 1
     np.testing.assert_allclose(cs.points[0], [0.7, 0.4], atol=1e-9)
@@ -192,12 +184,12 @@ def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
 
 @pytest.mark.parametrize("metric", list(Metric))
 @pytest.mark.parametrize("k", [7, 30])
-def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_rows):
+def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_rows, monkeypatch):
+    monkeypatch.setattr(vorcands, "BISECTION_ITERS", k)
     rng = np.random.default_rng(103)
     design = rng.random((20, 5))
-    batch = _random_batch(design, 64, rng)
-    batch.bisection_iters = k
-    cs = vorwalk(design, batch, metric)
+    cs = vorwalk(design, *_random_batch(design, 64, rng), metric)
+    assert cs.bracket_width == 0.5**k
     assert not cs.uncertified.any()
     # each shooting round queries only the live walks, so rows never grow;
     # the last two queries certify every lower end and every closed upper end
@@ -219,18 +211,18 @@ def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, m
     monkeypatch.setattr(vorcands, "_crossing", lambda *args: scale * real_crossing(*args))
     rng = np.random.default_rng(103)
     design = rng.random((20, 5))
-    batch = _random_batch(design, 64, rng)
-    cs = vorwalk(design, batch, metric)
+    origins, directions = _random_batch(design, 64, rng)
+    cs = vorwalk(design, origins, directions, metric)
 
     index = nn_index.build(design, metric)
-    anchors = design[batch.origins]
+    anchors = design[origins]
     t_lo, t_hi = np.zeros(64), np.ones(64)
     for _ in range(BISECTION_ITERS):
         mid = 0.5 * (t_lo + t_hi)
-        ok = real_nearest(index, anchors + mid[:, None] * batch.directions) == batch.origins
+        ok = real_nearest(index, anchors + mid[:, None] * directions) == origins
         t_lo[ok] = mid[ok]
         t_hi[~ok] = mid[~ok]
-    points = np.clip(anchors + (0.5 * (t_lo + t_hi))[:, None] * batch.directions, 0.0, 1.0)
+    points = np.clip(anchors + (0.5 * (t_lo + t_hi))[:, None] * directions, 0.0, 1.0)
     wall = t_hi == 1.0
 
     assert 0 < wall.sum() < 64
@@ -248,7 +240,7 @@ def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, m
 def test_l2_walk_points_lie_on_qhull_ridges(dim):
     rng = np.random.default_rng(106)
     design = rng.random((40, dim))
-    cs = vorwalk(design, _random_batch(design, 300, rng), Metric.L2)
+    cs = vorwalk(design, *_random_batch(design, 300, rng), Metric.L2)
     ridges = {frozenset(pair) for pair in Voronoi(design).ridge_points.tolist()}
     interior = ~cs.boundary_hit & (cs.points > 0.0).all(axis=1) & (cs.points < 1.0).all(axis=1)
     assert interior.sum() > 100
@@ -262,22 +254,21 @@ def test_l2_walk_points_lie_on_qhull_ridges(dim):
 def test_walk_points_always_inside_cube():
     rng = np.random.default_rng(104)
     design = rng.random((15, 6))
-    cs = vorwalk(design, _random_batch(design, 500, rng), Metric.L1)
+    cs = vorwalk(design, *_random_batch(design, 500, rng), Metric.L1)
     assert cs.points.min() >= 0.0 and cs.points.max() <= 1.0
 
 
 def test_single_point_design_every_walk_hits_wall():
     design = np.array([[0.5]])
-    batch = WalkBatch(origins=np.array([0, 0]), directions=np.array([[1.1], [-1.1]]))
-    cs = vorwalk(design, batch, Metric.L2)
+    cs = vorwalk(design, np.array([0, 0]), np.array([[1.1], [-1.1]]), Metric.L2)
     assert cs.boundary_hit.all()
     np.testing.assert_allclose(cs.points[:, 0], [1.0, 0.0], atol=1e-8)
 
 
 def test_determinism_bit_identical():
     design = np.random.default_rng(7).random((40, 8))
-    a = direct_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
-    b = direct_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
+    a = walk_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
+    b = walk_sample(design, 300, "unif", Metric.L2, 3, np.random.default_rng(55))
     for field in (
         "points", "boundary_hit", "uncertified", "origin", "bracket_width", "t_lower", "directions"
     ):
@@ -286,21 +277,23 @@ def test_determinism_bit_identical():
 
 def test_walk_batch_validation():
     design = np.random.default_rng(0).random((10, 3))
-    ok = _random_batch(design, 5, np.random.default_rng(1))
-    with pytest.raises(ValueError, match="bisection_iters"):
-        WalkBatch(ok.origins, ok.directions, bisection_iters=0).validate(design)
+    origins, directions = _random_batch(design, 5, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="1-D"):
+        vorwalk(design, origins[:, None], directions, Metric.L2)
+    with pytest.raises(ValueError, match="does not match"):
+        vorwalk(design, origins, directions[:, :2], Metric.L2)
     with pytest.raises(ValueError, match="norm"):
-        WalkBatch(ok.origins, ok.directions * 0.0).validate(design)
+        vorwalk(design, origins, directions * 0.0, Metric.L2)
     with pytest.raises(ValueError, match="out of range"):
-        WalkBatch(ok.origins + 10, ok.directions).validate(design)
+        vorwalk(design, origins + 10, directions, Metric.L2)
     with pytest.raises(ValueError, match="finite"):
-        bad = ok.directions.copy()
+        bad = directions.copy()
         bad[0, 0] = np.inf
-        WalkBatch(ok.origins, bad).validate(design)
+        vorwalk(design, origins, bad, Metric.L2)
     with pytest.raises(ValueError, match="unit cube"):
-        vorwalk(design * 3.0, ok, Metric.L2)
+        vorwalk(design * 3.0, origins, directions, Metric.L2)
     # short directions are legal: the walk just flags more wall hits
-    WalkBatch(ok.origins, ok.directions * 0.1).validate(design)
+    assert len(vorwalk(design, origins, directions * 0.1, Metric.L2)) == 5
 
 
 # --------------------------- halfway rule -----------------------------------
@@ -308,14 +301,10 @@ def test_walk_batch_validation():
 
 def test_halfway_rule_moves_only_wall_hits():
     design = np.array([[0.2], [0.8]])
-    batch = WalkBatch(
-        origins=np.array([0, 0]),
-        directions=np.array([[-(1 + 1e-9)], [1 + 1e-9]]),
-    )
-    cs = vorwalk(design, batch, Metric.L2)
+    cs = vorwalk(design, np.array([0, 0]), np.array([[-(1 + 1e-9)], [1 + 1e-9]]), Metric.L2)
     assert list(cs.boundary_hit) == [True, False]
     interior_before = cs.points[1, 0]
-    halfway_rule(cs, design)
+    vorcands._halfway_rule(cs, design)
     assert cs.points[0, 0] == pytest.approx(0.1, abs=1e-8)  # (0.2 + 0.0) / 2
     assert cs.points[1, 0] == interior_before
     assert cs.boundary_hit[0]  # flag kept for diagnostics
@@ -325,22 +314,21 @@ def test_halfway_rule_pulls_clamped_candidates():
     # the walk crosses into the neighbour's cell only outside the cube: the
     # bracket closes (no flag) but the clamp pins the point to the top face
     design = np.array([[0.4, 0.9], [0.6, 0.9]])
-    batch = WalkBatch(origins=np.array([0]), directions=np.array([[0.3, 0.6]]))
-    cs = vorwalk(design, batch, Metric.L2)
+    cs = vorwalk(design, np.array([0]), np.array([[0.3, 0.6]]), Metric.L2)
     assert not cs.boundary_hit[0]
     np.testing.assert_allclose(cs.points[0], [0.5, 1.0], atol=1e-8)
-    halfway_rule(cs, design)
+    vorcands._halfway_rule(cs, design)
     np.testing.assert_allclose(cs.points[0], [0.45, 0.95], atol=1e-8)
     assert not cs.boundary_hit[0]
 
 
-# --------------------------- direct_sample ----------------------------------
+# ---------------------------- walk_sample -----------------------------------
 
 
 def test_direct_sample_incumbent_block():
     rng = np.random.default_rng(200)
     design = rng.random((30, 10))
-    cs = direct_sample(design, 40, "rect", Metric.LINF, 4, rng)
+    cs = walk_sample(design, 40, "rect", Metric.LINF, 4, rng)
     assert (cs.origin == 4).sum() >= min(2 * 10, 40)
     assert (cs.origin[:20] == 4).all()
 
@@ -348,7 +336,7 @@ def test_direct_sample_incumbent_block():
 def test_direct_sample_rect_directions_are_axes():
     rng = np.random.default_rng(201)
     design = rng.random((12, 6))
-    cs = direct_sample(design, 100, "rect", Metric.LINF, 0, rng)
+    cs = walk_sample(design, 100, "rect", Metric.LINF, 0, rng)
     nonzero = (cs.directions != 0.0).sum(axis=1)
     np.testing.assert_array_equal(nonzero, np.ones(100))
     mags = np.abs(cs.directions).max(axis=1)
@@ -359,7 +347,7 @@ def test_direct_sample_rect_directions_are_axes():
 def test_direct_sample_unif_directions_scaled_by_walk_metric(metric):
     rng = np.random.default_rng(202)
     design = rng.random((12, 4))
-    cs = direct_sample(design, 50, "unif", metric, 0, rng)
+    cs = walk_sample(design, 50, "unif", metric, 0, rng)
     norms = distance(metric, cs.directions, np.zeros(4))
     np.testing.assert_allclose(norms, np.sqrt(4.0) * (1 + 1e-9), rtol=1e-12)
 
@@ -368,44 +356,44 @@ def test_direct_sample_errors():
     design = np.random.default_rng(0).random((5, 2))
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="strategy"):
-        direct_sample(design, 4, "proj", Metric.L2, 0, rng)
+        walk_sample(design, 4, "grid", Metric.L2, 0, rng)
     with pytest.raises(ValueError, match="incumbent"):
-        direct_sample(design, 4, "unif", Metric.L2, 9, rng)
+        walk_sample(design, 4, "unif", Metric.L2, 9, rng)
     with pytest.raises(ValueError, match="count"):
-        direct_sample(design, 0, "unif", Metric.L2, 0, rng)
+        walk_sample(design, 0, "unif", Metric.L2, 0, rng)
+    with pytest.raises(ValueError, match="count"):
+        walk_sample(design, 0, "proj", Metric.L2, None, rng)
+    # proj walks ignore the incumbent, so an index out of range is not an error
+    assert len(walk_sample(design, 4, "proj", Metric.L2, 9, rng)) == 4
 
 
 def test_direct_sample_single_point_design():
     design = np.array([[0.5, 0.5]])
-    cs = direct_sample(design, 8, "rect", Metric.LINF, 0, np.random.default_rng(3))
+    cs = walk_sample(design, 8, "rect", Metric.LINF, 0, np.random.default_rng(3))
     assert (cs.origin == 0).all()
     assert cs.boundary_hit.all()
 
 
-# --------------------------- project_sample ---------------------------------
-
-
 def test_project_sample_1d_frozen():
+    # every walk runs from the owner of its Latin hypercube point toward it
+    # and stops on the bisector of {0, 1}, which ties to point 0
     design = np.array([[0.0], [1.0]])
-    cs = project_sample(design, np.array([[0.3], [0.7]]), Metric.L2)
-    np.testing.assert_allclose(cs.points[:, 0], [0.5, 0.5], atol=1e-8)
-    np.testing.assert_array_equal(cs.origin, [0, 1])
+    cs = walk_sample(design, 20, "proj", Metric.L2, None, np.random.default_rng(4))
+    pre = lhs(20, 1, np.random.default_rng(4))
+    np.testing.assert_allclose(cs.points[:, 0], 0.5, atol=1e-8)
+    np.testing.assert_array_equal(cs.origin, pre[:, 0] > 0.5)
 
 
-def test_project_sample_degenerate_precandidate():
+def test_project_sample_degenerate_precandidate(monkeypatch):
+    # a precandidate exactly on a design point gives no direction, so its
+    # walk is redirected at random with the same length sqrt(P)
     design = np.array([[0.25, 0.25], [0.75, 0.75]])
-    pre = np.array([[0.25, 0.25]])  # exactly a design point: direction undefined
-    cs = project_sample(design, pre, Metric.L2, rng=np.random.default_rng(8))
+    monkeypatch.setattr(vorcands, "lhs", lambda count, dim, rng: np.array([[0.25, 0.25]]))
+    cs = walk_sample(design, 1, "proj", Metric.L2, None, np.random.default_rng(8))
     assert cs.points.shape == (1, 2)
     assert np.isfinite(cs.points).all()
-
-
-def test_project_sample_shape_errors():
-    design = np.random.default_rng(0).random((5, 3))
-    with pytest.raises(ValueError, match="precandidates"):
-        project_sample(design, np.zeros((4, 2)), Metric.L2)
-    with pytest.raises(ValueError, match="at least one"):
-        project_sample(design, np.zeros((0, 3)), Metric.L2)
+    assert cs.origin[0] == 0
+    assert distance(Metric.L2, cs.directions, np.zeros(2)) == pytest.approx(np.sqrt(2.0))
 
 
 # ----------------------------- scheme_final ---------------------------------
