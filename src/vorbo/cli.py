@@ -155,6 +155,8 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
 
 
 def cmd_candidates(args: argparse.Namespace) -> int:
+    if args.iteration < 0:
+        raise ValueError(f"--iteration must be >= 0, got {args.iteration}")
     if args.design is not None:
         try:
             design = np.loadtxt(args.design, delimiter=",", ndmin=2)

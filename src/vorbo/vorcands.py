@@ -12,25 +12,25 @@ dimensions), candidates are found by walks.  A walk starts at a design
 point a = x_n, picks a direction u, and looks for the first t in [0, 1] at
 which a + t*u leaves the cell of x_n.  Cells are star-shaped around their
 design point under the metrics used here, so "a + t*u is still in the cell"
-is monotone in t.  The walk finds the crossing by blocker-shooting: it
-probes at t = 1, and while the probe's nearest design point x_j (ties to the
-smaller index, as in `nn_index`) is not x_n, it jumps t to the exact
+is monotone in t.  The walk finds the crossing by blocker-shooting: a walk
+at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K ([1 -
+2^-K, 1] at t = 1, where it starts), and each round probes its lower end.
+If the probe's nearest design point x_j (ties to the smaller index, as in
+`nn_index`) is x_n, that end is certified; otherwise t jumps to the exact
 crossing of the bisector of x_n and x_j with the ray (closed form under L2
-and L-inf, a scalar bisection under L1).  Each jump costs one
-nearest-neighbour query, and a walk typically needs a handful.  Probes are
-evaluated where they land, outside the unit cube included --
-nearest-neighbour identity is well defined on all of R^P -- so the walk
-tracks the true cell face even when that face lies beyond a cube wall.  All
-live walks of a batch share each round's batched query.
+and L-inf, a scalar bisection under L1).  Each round costs one
+nearest-neighbour query, batched over the live walks, and a walk typically
+needs two or three.  Probes are evaluated where they land, outside the unit
+cube included -- nearest-neighbour identity is well defined on all of R^P
+-- so the walk tracks the true cell face even when that face lies beyond a
+cube wall.
 
-Each crossing t* is then certified as a bracket [t* - 2^-(K+1), t* +
-2^-(K+1)] of width 2^-K: two more batched queries check that the lower
-end is still owned by the origin and the upper end is not.  A lower end
-owned by another point names a blocker the shooting missed, and the walk
-jumps on to that point's crossing.  A walk that still fails (rounding left its upper
-end in the cell, or the bracket would reach past t = 0 or t = 1) reruns the
-K-round bisection on the owner predicate, the single fallback path, and is
-flagged `uncertified`.
+The upper end needs no scan: one pair of distances shows that the last
+blocker beats x_n there, and only where that pair could round the other
+way does a batched query check it.  A walk that still fails (its crossing
+did not fall, rounding left its upper end in the cell, or the bracket would
+reach past t = 0 or t = 1) reruns the K-round bisection on the owner
+predicate, the single fallback path, and is flagged `uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
 whose full step never leaves its origin's cell is flagged `boundary_hit`:
@@ -67,6 +67,11 @@ _L1_CROSSING_ITERS = 64
 #: strictly past sqrt(P) rather than exactly on it.
 _NORM_SLACK = 1e-9
 
+#: Under L1 and L2 a blocker settles an upper end unqueried only if nearer by
+#: _PAIR_MARGIN * P * d(origin): `distance` and the query's `cdist` sum in
+#: different orders, each within about P * eps.
+_PAIR_MARGIN = 16 * np.finfo(float).eps
+
 #: Precandidates closer than this to their nearest design point give no
 #: usable direction and are redirected uniformly at random.
 _DEGENERATE_NORM = 1e-12
@@ -84,7 +89,7 @@ class CandidateSet:
     face-touching candidates by the point halfway back to their origin.
     `boundary_hit` marks walks whose full step never left the origin's cell
     (the bracket never closed), and `uncertified` marks walks whose shot
-    bracket failed certification and were bisected instead; both are kept
+    bracket failed its owner checks and were bisected instead; both are kept
     through the halfway pull as diagnostics.
     """
 
@@ -188,23 +193,21 @@ def vorwalk(
     """Run a batch of walks against `design` under `metric`.
 
     Each walk c starts at ``design[origins[c]]`` and shoots along
-    ``directions[c]`` from t = 1: each round queries the nearest design
-    point of every live probe (one batched query), a walk whose origin owns
-    its probe is done, and any other jumps t to the crossing of its
-    blocker's bisector with the ray.  A crossing does not depend on t, so t
-    falls strictly and no blocker is visited twice; a walk also stops when
-    the crossing does not lower t (rounding can leave the blocker nearer at
-    its own crossing).
+    ``directions[c]`` from t = 1.  With K = `BISECTION_ITERS`, each round
+    queries the lower end of every live walk's bracket [t - 2^-(K+1), t +
+    2^-(K+1)] ([1 - 2^-K, 1] at t = 1) in one batch.  A walk whose origin
+    owns it is done; any other jumps t to the crossing of that owner's
+    bisector with the ray, strictly lower in exact arithmetic, and keeps the
+    owner as its blocker.  A walk whose crossing does not lower t
+    (rounding) goes to the fallback.
 
-    With K = `BISECTION_ITERS`, the final crossing t* becomes the bracket
-    [t* - 2^-(K+1), t* + 2^-(K+1)], certified by two batched queries: the
-    origin must own the lower end, and then not the upper end.  A lower end
-    owned by another design point names a blocker the shooting missed (near
-    a cell vertex, or behind a tie); the walk jumps to that blocker's
-    crossing, shoots on, and is certified again.  Walks that still fail
-    rerun a K-round bisection on the owner predicate and are flagged
-    `uncertified`.  The returned points are the bracket midpoints, clamped
-    to the cube.
+    An upper end is certified when its blocker beats the origin there
+    (nearer, or tied with the smaller index): exactly by `distance` under
+    L-inf, which is the query's own arithmetic, by a rounding margin
+    (`_PAIR_MARGIN`) under L1 and L2, and by one batched query for the
+    rest.  Walks that fail rerun a K-round bisection on the owner predicate
+    and are flagged `uncertified`.  The returned points are the bracket
+    midpoints, clamped to the cube.
 
     A candidate is flagged `boundary_hit` when the origin's cell never
     ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
@@ -232,40 +235,42 @@ def vorwalk(
     anchors = design[origins]
     width = 0.5**BISECTION_ITERS
     t = np.ones(len(origins))
+    blocker = origins.copy()
     certified = np.zeros(len(origins), dtype=bool)
 
-    def jump(walks: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Move each walk `owner` blocks to that point's crossing; the walks moved."""
-        blocked = owner != origins[walks]
-        walks, owner = walks[blocked], owner[blocked]
+    # shoot: query each live walk's lower end; the origin owning it certifies
+    # that end, and any other owner moves the walk down to its own crossing
+    live = np.arange(len(origins))
+    while live.size:
+        t_lo, _ = _bracket(t[live], width)
+        owner = nn_index.nearest_batch(index, anchors[live] + t_lo[:, None] * directions[live])
+        held = owner == origins[live]
+        certified[live[held]] = True
+        live, owner = live[~held], owner[~held]
         cross = _crossing(
-            metric, anchors[walks], directions[walks], design[owner], owner < origins[walks]
+            metric, anchors[live], directions[live], design[owner], owner < origins[live]
         )
-        moved = cross < t[walks]
-        t[walks[moved]] = cross[moved]
-        return walks[moved]
+        moved = cross < t[live]
+        live = live[moved]
+        t[live], blocker[live] = cross[moved], owner[moved]
 
-    todo = np.arange(len(origins))
-    while todo.size:
-        live = todo
-        while live.size:
-            probes = anchors[live] + t[live, None] * directions[live]
-            live = jump(live, nn_index.nearest_batch(index, probes))
-        # certify: the origin owns every lower end, and no closed upper end
-        t_lo, t_hi = _bracket(t[todo], width)
-        probes = anchors[todo] + t_lo[:, None] * directions[todo]
-        lo_owner = nn_index.nearest_batch(index, probes)
-        ok = lo_owner == origins[todo]
-        up = np.flatnonzero(ok & (t[todo] < 1.0))
-        if up.size:
-            walks = todo[up]
-            probes = anchors[walks] + t_hi[up, None] * directions[walks]
-            hi_owner = nn_index.nearest_batch(index, probes)
-            ok[up] = (hi_owner != origins[walks]) & (t_lo[up] >= 0.0) & (t_hi[up] < 1.0)
-        certified[todo] = ok
-        todo = jump(todo, lo_owner)
-
+    # certify each closed upper end by the pair (blocker, origin) alone, or,
+    # where rounding could flip that pair, by one batched query
     t_lo, t_hi = _bracket(t, width)
+    certified &= (t == 1.0) | ((t_lo >= 0.0) & (t_hi < 1.0))
+    up = np.flatnonzero(certified & (t < 1.0))
+    probes = anchors[up] + t_hi[up, None] * directions[up]
+    d_blocker = distance(metric, probes, design[blocker[up]])
+    d_origin = distance(metric, probes, anchors[up])
+    if metric is Metric.LINF:  # `distance` is the query's arithmetic here, ties included
+        tie = (d_blocker == d_origin) & (blocker[up] < origins[up])
+        beaten = (d_blocker < d_origin) | tie
+    else:
+        beaten = d_blocker < d_origin - _PAIR_MARGIN * dim * d_origin
+    if not beaten.all():
+        rest = up[~beaten]
+        certified[rest] = nn_index.nearest_batch(index, probes[~beaten]) != origins[rest]
+
     redo = np.flatnonzero(~certified)
     if redo.size:
         t_lo[redo], t_hi[redo] = _bisect(

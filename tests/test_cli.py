@@ -311,6 +311,18 @@ def test_candidates_unreadable_design_file(tmp_path, capsys):
     assert "cannot read design file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
+def test_candidates_rejects_negative_iteration(tmp_path, capsys, scheme):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "candidates", "--dim", "2", "--scheme", scheme, "--iteration", "-1",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "--iteration must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_candidates_needs_dim_or_design(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["candidates", "--out", str(tmp_path / "x.csv")])

@@ -140,6 +140,19 @@ def test_star_convexity_of_prefix():
 
 
 @pytest.fixture
+def nn_queries(monkeypatch):
+    """Every batched nearest-neighbour query vorwalk makes, in order."""
+    queries = []
+
+    def recording(index, q):
+        queries.append(np.array(q))
+        return real_nearest(index, q)
+
+    monkeypatch.setattr(vorcands.nn_index, "nearest_batch", recording)
+    return queries
+
+
+@pytest.fixture
 def nn_rows(monkeypatch):
     """Rows of every batched nearest-neighbour query vorwalk makes, in order."""
     rows = []
@@ -154,26 +167,27 @@ def nn_rows(monkeypatch):
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_nn_queries_of_a_hand_checked_walk(metric, nn_rows):
-    # from 0 toward 1: the probe at t=1 is blocked by 1, the jump to the
-    # bisector at 0.5 is confirmed by a second query, and one query per end
-    # certifies the bracket
+    # from 0 toward 1: the lower end at t = 1 - 2^-K is owned by 1, the jump
+    # to the bisector at 0.5 is certified by a second query at its lower
+    # end, and the pair (1, 0) settles the upper end without a query
     design = np.array([[0.0], [1.0]])
     cs = vorwalk(design, np.array([0]), np.array([[1.0 + 1e-9]]), metric)
-    assert nn_rows == [1, 1, 1, 1]
+    assert nn_rows == [1, 1]
     assert not cs.uncertified[0] and not cs.boundary_hit[0]
     assert cs.t_lower[0] < 0.5 / (1.0 + 1e-9) < cs.t_lower[0] + cs.bracket_width
 
 
 def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
     # origin 2 and point 1 share the coordinate the ray is longest in, so
-    # under L-inf they tie (and 1 owns the tie) from t = 1/3 on.  Shooting
-    # first stops at t = 0.375, on point 0's bisector, where all three tie
-    # and the query names 0; the lower end's query names 1, and one more
-    # jump lands on the cell boundary at 1/3, where both ends certify
+    # under L-inf they tie (and 1 owns the tie) from t = 1/3 on.  The lower
+    # end at t = 1 names 0, whose bisector puts the walk at t = 0.375; the
+    # lower end there names 1, and one more jump lands on the cell boundary
+    # at 1/3.  Its lower end certifies, and the exact tie of 1 and 2 at the
+    # upper end, owned by the smaller index 1, settles that end unqueried
     design = np.array([[0.95, 0.3], [0.5, 0.2], [0.5, 0.5]])
     u = np.array([0.6, -0.3])
     cs = vorwalk(design, np.array([2]), u[None, :], Metric.LINF)
-    assert nn_rows == [1, 1, 1, 1, 1, 1]
+    assert nn_rows == [1, 1, 1]
     assert not cs.uncertified[0] and not cs.boundary_hit[0]
     lo = design[2] + cs.t_lower[0] * u
     hi = design[2] + (cs.t_lower[0] + cs.bracket_width) * u
@@ -182,22 +196,31 @@ def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
     np.testing.assert_allclose(cs.points[0], [0.7, 0.4], atol=1e-9)
 
 
+def _upper_ends(design, cs):
+    """The closed upper ends of a walk batch, as the probes vorwalk queries."""
+    t_hi = cs.t_lower + cs.bracket_width
+    return (design[cs.origin] + t_hi[:, None] * cs.directions)[~cs.boundary_hit]
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 @pytest.mark.parametrize("k", [7, 30])
-def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_rows, monkeypatch):
+def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_queries, monkeypatch):
     monkeypatch.setattr(vorcands, "BISECTION_ITERS", k)
     rng = np.random.default_rng(103)
     design = rng.random((20, 5))
     cs = vorwalk(design, *_random_batch(design, 64, rng), metric)
     assert cs.bracket_width == 0.5**k
     assert not cs.uncertified.any()
-    # each shooting round queries only the live walks, so rows never grow;
-    # the last two queries certify every lower end and every closed upper end
-    *rounds, lower, upper = nn_rows
+    # each round queries only the live walks' lower ends, so rows never
+    # grow; a last query, if any, takes the upper ends no pair settled
+    rows = [len(q) for q in nn_queries]
+    upper_ends = {row.tobytes() for row in _upper_ends(design, cs)}
+    last_is_upper = all(row.tobytes() in upper_ends for row in nn_queries[-1])
+    rounds, upper = (rows[:-1], rows[-1:]) if last_is_upper else (rows, [])
     assert rounds[0] == 64 and all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert len(rounds) <= design.shape[0] + 1
-    assert (lower, upper) == (64, (~cs.boundary_hit).sum())
-    assert sum(nn_rows) <= 6 * 64  # 30 rows per walk under bisection
+    assert sum(upper) <= (~cs.boundary_hit).sum()
+    assert sum(rows) <= 6 * 64  # 30 rows per walk under bisection
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -232,8 +255,59 @@ def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, m
     np.testing.assert_array_equal(cs.boundary_hit, wall)
     # the fallback makes exactly K bisection calls over the failed walks
     assert nn_rows[-BISECTION_ITERS:] == [(~wall).sum()] * BISECTION_ITERS
-    if scale == np.inf:  # before it: one shooting round and the lower ends' query
-        assert nn_rows[:-BISECTION_ITERS] == [64, 64]
+    if scale == np.inf:  # before it: the one round, at every lower end
+        assert nn_rows[:-BISECTION_ITERS] == [64]
+
+
+def _rect_grown_design(dim, rng):
+    """A design grown by L-inf axis walks: each new point shares all but one
+    coordinate with its origin, so the cells meet along interval ties.
+    Walks that repeat an axis repeat a point, so duplicates are dropped."""
+    design = rng.random((20, dim))
+    for _ in range(4):
+        cs = walk_sample(design, 40, "rect", Metric.LINF, 0, rng)
+        design = np.unique(np.vstack([design, cs.points]), axis=0)
+    return design
+
+
+@pytest.mark.parametrize(
+    "metric, dim", [(Metric.LINF, 10)] + [(m, p) for m in (Metric.L1, Metric.L2) for p in (10, 100)]
+)
+def test_pair_check_agrees_with_the_query(metric, dim):
+    # the query's own arithmetic (cdist), not `distance`'s, must find no
+    # certified upper end still owned by its origin
+    rng = np.random.default_rng(107)
+    if metric is Metric.LINF:
+        design = _rect_grown_design(dim, rng)
+        origins, directions = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
+    else:
+        design = rng.random((200, dim))
+        origins, directions = _random_batch(design, 300, rng)
+    cs = vorwalk(design, origins, directions, metric)
+    assert not cs.uncertified.any()
+    assert (~cs.boundary_hit).sum() > 50
+    upper_ends = _upper_ends(design, cs)
+    owners = real_nearest(nn_index.build(design, metric), upper_ends)
+    assert (owners != cs.origin[~cs.boundary_hit]).all()
+    if metric is Metric.LINF:  # the design holds the ties the pair rule settles
+        d = distance(metric, design[None, :, :], upper_ends[:, None, :])
+        d_origin = d[np.arange(len(d)), cs.origin[~cs.boundary_hit]]
+        assert (d_origin == d.min(axis=1)).any()
+
+
+@pytest.mark.parametrize("metric", [Metric.L1, Metric.L2])
+def test_infinite_margin_queries_every_upper_end(metric, nn_rows, monkeypatch):
+    rng = np.random.default_rng(108)
+    design = rng.random((100, 10))
+    origins, directions = _random_batch(design, 200, rng)
+    base = vorwalk(design, origins, directions, metric)
+    monkeypatch.setattr(vorcands, "_PAIR_MARGIN", np.inf)
+    nn_rows.clear()
+    cs = vorwalk(design, origins, directions, metric)
+    assert not cs.uncertified.any()
+    for field in ("points", "boundary_hit", "uncertified", "t_lower"):
+        np.testing.assert_array_equal(getattr(cs, field), getattr(base, field))
+    assert nn_rows[-1] == (~cs.boundary_hit).sum() > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
