@@ -6,7 +6,9 @@ with z = (y_min - mu)/sigma,
     EI = (y_min - mu) * Phi(z) + sigma * phi(z),
 
 falling back to the deterministic improvement max(y_min - mu, 0) when sigma
-is numerically zero.  `argmax_discrete` scores candidate points with `ei`;
+is numerically zero.  Phi is `scipy.special.ndtr` and phi its closed form,
+equal to `scipy.stats.norm`'s bit for bit without its per-call argument
+handling.  `argmax_discrete` scores candidate points with `ei`;
 `multistart_opt` ascends `ei_and_grad`, which takes the value and the
 gradient from one predictive pass per point.
 """
@@ -17,13 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import gp
 from .sampling import lhs
 
 #: Predictive sds at or below this are treated as exactly zero in EI.
 SD_FLOOR = 1e-10
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _npdf(z):
+    """Standard normal density.
+
+    Written as SciPy's `norm.pdf` computes it, so the two agree bit for bit;
+    `z * z`, not `z ** 2`, because a NumPy scalar's power can round
+    differently from the array product `norm.pdf` takes.
+    """
+    return np.exp(-(z * z) / 2.0) / _SQRT_2PI
 
 
 @dataclass
@@ -43,7 +57,7 @@ def ei_values(means: np.ndarray, sds: np.ndarray, y_min: float) -> np.ndarray:
     if live.any():
         z = imp[live] / sds[live]
         # clamp: the closed form can round to a tiny negative far below y_min
-        out[live] = np.maximum(imp[live] * norm.cdf(z) + sds[live] * norm.pdf(z), 0.0)
+        out[live] = np.maximum(imp[live] * ndtr(z) + sds[live] * _npdf(z), 0.0)
     return out
 
 
@@ -67,7 +81,7 @@ def ei_and_grad(
     value = float(ei_values([mean], [sd], y_min)[0])
     if sd > SD_FLOOR:
         z = (y_min - mean) / sd
-        return value, -norm.cdf(z) * dmean + norm.pdf(z) * dsd
+        return value, -ndtr(z) * dmean + _npdf(z) * dsd
     return value, -dmean if mean < y_min else np.zeros_like(dmean)
 
 
@@ -92,29 +106,26 @@ def multistart_opt(
     start runs a bounded local ascent with the analytic gradient (max 200
     iterations, projected-gradient tolerance 1e-8); the best terminal point
     across starts wins, falling back to the best start itself if no ascent
-    improves on it.  `evaluations` counts EI evaluations: one per start
-    point and one per objective call, each of which also yields the gradient.
+    improves on it.  A start's own EI is the ascent's first evaluation, which
+    L-BFGS-B makes at the (clipped) start, so `evaluations` counts objective
+    calls only; each of them yields the value and the gradient.
     """
     dim = model.design.shape[1]
     incumbent = np.asarray(incumbent, dtype=float).reshape(-1)
     starts = [incumbent, *lhs(2 * dim, dim, rng)]
 
-    evals = 0
+    values: list[float] = []
 
     def neg_ei_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals
-        evals += 1
         value, grad = ei_and_grad(model, x, y_min)
+        values.append(value)
         return -value, -grad
 
     best_x: np.ndarray | None = None
     best_val = -np.inf
     for x0 in starts:
         x0 = np.clip(x0, 0.0, 1.0)
-        f0 = float(ei(model, x0[None, :], y_min)[0])
-        evals += 1
-        if f0 > best_val:
-            best_val, best_x = f0, x0.copy()
+        first = len(values)
         res = minimize(
             neg_ei_and_grad,
             x0,
@@ -126,6 +137,8 @@ def multistart_opt(
             # long before the gradient tolerance gets a say
             options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-16},
         )
+        if values[first] > best_val:
+            best_val, best_x = values[first], x0.copy()
         if np.isfinite(res.fun) and -res.fun > best_val:
             best_val, best_x = float(-res.fun), np.clip(res.x, 0.0, 1.0)
-    return AcqResult(point=best_x, acq_value=max(best_val, 0.0), evaluations=evals)
+    return AcqResult(point=best_x, acq_value=max(best_val, 0.0), evaluations=len(values))

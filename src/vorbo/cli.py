@@ -163,6 +163,15 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot read design file {args.design}: {exc}", file=sys.stderr)
             return 1
+        # a repeated row's later copy owns no cell, so every walk from it fails
+        _, first, rows = np.unique(design, axis=0, return_index=True, return_inverse=True)
+        repeats = np.flatnonzero(first[rows] != np.arange(design.shape[0]))
+        if repeats.size:
+            j = int(repeats[0])
+            raise ValueError(
+                f"design file {args.design}: rows {first[rows[j]]} and {j} are identical"
+                " (rows count from 0)"
+            )
         dim = design.shape[1]
     else:
         if args.dim is None:

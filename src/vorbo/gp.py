@@ -208,10 +208,17 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
 
 
 def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Correlation rows, w = chol^-1 rho', and the predictive mean and sd."""
+    """Correlation rows, w = chol^-1 rho', and the predictive mean and sd.
+
+    The queries are checked once here; the solves then skip SciPy's own
+    finiteness checks, since finite queries give finite correlations and
+    `cho_factor` has already checked the Cholesky factor.
+    """
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must not contain infs or NaNs")
     rho = _corr(queries, model.design, model.hyper.lengthscales)
     mean = model.y_mean + rho @ model.alpha
-    w = solve_triangular(model.chol, rho.T, lower=True)
+    w = solve_triangular(model.chol, rho.T, lower=True, check_finite=False)
     var = model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
     return rho, w, mean, np.sqrt(var)
 
@@ -245,5 +252,5 @@ def predict_grad(
     if sd[0] <= 0.0:
         return float(mean[0]), 0.0, dmean, np.zeros_like(dmean)
     # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w
-    v = solve_triangular(model.chol, w[:, 0], lower=True, trans="T")
+    v = solve_triangular(model.chol, w[:, 0], lower=True, trans="T", check_finite=False)
     return float(mean[0]), float(sd[0]), dmean, -model.hyper.tau_sq * (j.T @ v) / sd[0]

@@ -37,17 +37,17 @@ whose full step never leaves its origin's cell is flagged `boundary_hit`:
 the direction scalings of `walk_sample` make such a step leave the cube
 itself, so a flagged candidate is pinned to a cube face by the clamp.
 `walk_sample` draws a batch of origins and directions for one strategy
-(unif, rect or proj) in one place, walks it, and pulls every candidate that
-touches a face -- flagged or merely clamped -- halfway back toward its
-origin, which keeps candidates off the (rarely optimal) faces of the cube
-without discarding the direction searched.  `scheme_final` (the optimizer's
-scheme) and `boundary_proportion` (the wall-hit study) are built on the same
-batch.
+(unif, rect or proj) in one place, walks it (a rect walk that the batch
+repeats, only once), and pulls every candidate that touches a face --
+flagged or merely clamped -- halfway back toward its origin, which keeps
+candidates off the (rarely optimal) faces of the cube without discarding
+the direction searched.  `scheme_final` (the optimizer's scheme) and
+`boundary_proportion` (the wall-hit study) are built on the same batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,18 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def take(self, rows: np.ndarray) -> CandidateSet:
+        """The walks at `rows`, in that order (repeats allowed)."""
+        return replace(
+            self,
+            points=self.points[rows],
+            boundary_hit=self.boundary_hit[rows],
+            uncertified=self.uncertified[rows],
+            origin=self.origin[rows],
+            t_lower=self.t_lower[rows],
+            directions=self.directions[rows],
+        )
 
 
 def _as_design(design: np.ndarray) -> np.ndarray:
@@ -315,8 +327,14 @@ def _walk_batch(
     metric: Metric,
     incumbent: int | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Origins and directions of `count` walks of one strategy (see `walk_sample`)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Origins and directions of the distinct walks of one strategy, and `rows`.
+
+    The batch of `count` walks (see `walk_sample`) is walk `rows[c]` of the
+    returned ones for each c.  A rect walk is fixed by its origin and signed
+    axis, both drawn with replacement, so only rect batches repeat walks; the
+    others return every walk, with `rows` = 0, 1, ..., count - 1.
+    """
     n, dim = design.shape
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -333,7 +351,7 @@ def _walk_batch(
         for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
             d[i] = sphere_direction(dim, rng)
             norms[i] = 1.0
-        return origins, d * (scale / norms)[:, None]
+        return origins, d * (scale / norms)[:, None], np.arange(count)
 
     # origins before directions; with an incumbent, the other origins are
     # drawn from the other n - 1 points (all zeros when it is the only one)
@@ -354,11 +372,13 @@ def _walk_batch(
         for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
             d[i] = sphere_direction(dim, rng)
             norms[i] = distance(metric, d[i], 0.0)
-        return origins, d * (scale / norms)[:, None]
+        return origins, d * (scale / norms)[:, None], np.arange(count)
     axes = rng.integers(0, 2 * dim, size=count)
-    d = np.zeros((count, dim))
-    d[np.arange(count), axes % dim] = np.where(axes < dim, scale, -scale)
-    return origins, d
+    _, first, rows = np.unique(origins * (2 * dim) + axes, return_index=True, return_inverse=True)
+    origins, axes = origins[first], axes[first]
+    d = np.zeros((first.size, dim))
+    d[np.arange(first.size), axes % dim] = np.where(axes < dim, scale, -scale)
+    return origins, d, rows
 
 
 def walk_sample(
@@ -385,8 +405,8 @@ def walk_sample(
     halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
-    origins, directions = _walk_batch(design, count, strategy, metric, incumbent, rng)
-    return _halfway_rule(vorwalk(design, origins, directions, metric), design)
+    origins, directions, rows = _walk_batch(design, count, strategy, metric, incumbent, rng)
+    return _halfway_rule(vorwalk(design, origins, directions, metric).take(rows), design)
 
 
 def scheme_final(
@@ -425,5 +445,5 @@ def boundary_proportion(
     fraction of walks whose step ran out before the origin's cell did.
     """
     design = _as_design(design)
-    origins, directions = _walk_batch(design, count, strategy, metric, None, rng)
-    return float(vorwalk(design, origins, directions, metric).boundary_hit.mean())
+    origins, directions, rows = _walk_batch(design, count, strategy, metric, None, rng)
+    return float(vorwalk(design, origins, directions, metric).boundary_hit[rows].mean())

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import norm
 
-from vorbo import gp
+from vorbo import acquisition, gp
 from vorbo.acquisition import (
+    SD_FLOOR,
     AcqResult,
     argmax_discrete,
     ei,
@@ -11,6 +13,7 @@ from vorbo.acquisition import (
     ei_values,
     multistart_opt,
 )
+from vorbo.sampling import lhs
 
 
 def _toy_model(seed=0, n=20, dim=2):
@@ -64,6 +67,52 @@ def test_monotone_in_mean_and_sd():
     for mu in (-1.0, 0.0, 2.0):
         vals = ei_values(np.full_like(sds, mu), sds, y_min=0.0)
         assert (np.diff(vals) >= -1e-15).all()
+
+
+def _z_grid():
+    rng = np.random.default_rng(30)
+    return np.concatenate(
+        [np.linspace(-40.0, 40.0, 8001), rng.uniform(-40, 40, 20_000), [-0.0, 1e-300, -1e-300]]
+    )
+
+
+def test_ei_values_equal_the_scipy_stats_closed_form_bit_for_bit():
+    z = _z_grid()
+    rng = np.random.default_rng(31)
+    sds = 10.0 ** rng.uniform(-9.0, 2.0, z.size)
+    y_min = 0.25
+    means = y_min - z * sds
+    # the SD_FLOOR branch: sds at and below the floor, on both sides of y_min
+    sds[:200] = rng.choice([0.0, SD_FLOOR, 0.5 * SD_FLOOR], 200)
+    live = sds > SD_FLOOR
+    imp = y_min - means
+    expected = np.maximum(imp, 0.0)
+    zl = imp[live] / sds[live]
+    expected[live] = np.maximum(imp[live] * norm.cdf(zl) + sds[live] * norm.pdf(zl), 0.0)
+    assert ei_values(means, sds, y_min).tobytes() == expected.tobytes()
+
+
+def test_normal_cdf_and_density_equal_scipy_stats_on_scalars():
+    # `ei_and_grad` evaluates both at one z, a scalar, where a NumPy float's
+    # `** 2` can round differently from the array square `norm.pdf` takes
+    for z in _z_grid()[::5]:
+        for scalar in (np.float64(z), float(z)):
+            assert acquisition.ndtr(scalar) == norm.cdf(scalar)
+            assert acquisition._npdf(scalar) == norm.pdf(scalar)
+
+
+def test_gradient_equals_the_scipy_stats_chain_bit_for_bit():
+    model, X, y = _toy_model(32)
+    y_min = float(y.min())
+    for x in [*X[:5], *np.random.default_rng(33).random((200, 2))]:
+        mean, sd, dmean, dsd = gp.predict_grad(model, x)
+        grad = ei_and_grad(model, x, y_min)[1]
+        if sd > SD_FLOOR:
+            z = (y_min - mean) / sd
+            expected = -norm.cdf(z) * dmean + norm.pdf(z) * dsd
+        else:
+            expected = -dmean if mean < y_min else np.zeros_like(dmean)
+        assert grad.tobytes() == expected.tobytes()
 
 
 def test_ei_composes_predict_with_closed_form():
@@ -178,7 +227,7 @@ def test_result_invariants_and_improvement_over_incumbent():
     assert res.acq_value >= 0.0
     assert ((res.point >= 0.0) & (res.point <= 1.0)).all()
     assert res.acq_value >= ei(model, incumbent[None, :], float(y.min()))[0] - 1e-12
-    assert res.evaluations >= 5  # 2P + 1 start evaluations at minimum
+    assert res.evaluations >= 5  # one objective call per start at least
 
 
 def test_beats_dense_uniform_probing():
@@ -199,3 +248,66 @@ def test_multistart_determinism():
     np.testing.assert_array_equal(a.point, b.point)
     assert a.acq_value == b.acq_value
     assert a.evaluations == b.evaluations
+
+
+def _reference_multistart(model, y_min, incumbent, rng):
+    """The loop with an explicit `ei` call at each start, ahead of the ascent."""
+    dim = model.design.shape[1]
+    starts = [np.asarray(incumbent, dtype=float).reshape(-1), *lhs(2 * dim, dim, rng)]
+    calls = 0
+
+    def objective(x):
+        nonlocal calls
+        calls += 1
+        value, grad = ei_and_grad(model, x, y_min)
+        return -value, -grad
+
+    best_x, best_val = None, -np.inf
+    for x0 in starts:
+        x0 = np.clip(x0, 0.0, 1.0)
+        f0 = float(ei(model, x0[None, :], y_min)[0])
+        if f0 > best_val:
+            best_val, best_x = f0, x0.copy()
+        res = minimize(
+            objective, x0, jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * dim,
+            options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-16},
+        )
+        if np.isfinite(res.fun) and -res.fun > best_val:
+            best_val, best_x = float(-res.fun), np.clip(res.x, 0.0, 1.0)
+    return best_x, max(best_val, 0.0), calls
+
+
+@pytest.mark.parametrize(
+    "seed, n, dim, shift",
+    [(40, 20, 2, 0.0), (41, 12, 3, -0.5), (42, 30, 1, 0.0), (43, 15, 4, 0.3)],
+)
+def test_multistart_equals_the_explicit_start_ei_loop(seed, n, dim, shift):
+    model, X, y = _toy_model(seed, n=n, dim=dim)
+    y_min = float(y.min()) + shift
+    # an incumbent off the cube exercises the clipped start
+    incumbent = X[int(np.argmin(y))] + 0.7
+    res = multistart_opt(model, y_min, incumbent, np.random.default_rng(seed))
+    point, value, calls = _reference_multistart(
+        model, y_min, incumbent, np.random.default_rng(seed)
+    )
+    assert res.point.tobytes() == point.tobytes()
+    assert res.acq_value == value
+    assert res.evaluations == calls
+
+
+def test_evaluations_count_objective_calls_and_starts_cost_none(monkeypatch):
+    model, X, y = _toy_model(44)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ei_and_grad(*args)
+
+    def no_start_ei(*args):
+        raise AssertionError("multistart_opt evaluated a start outside the ascent")
+
+    monkeypatch.setattr(acquisition, "ei_and_grad", counted)
+    monkeypatch.setattr(acquisition, "ei", no_start_ei)
+    res = multistart_opt(model, float(y.min()), X[0], np.random.default_rng(45))
+    assert res.evaluations == calls > 5

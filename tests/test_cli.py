@@ -311,6 +311,23 @@ def test_candidates_unreadable_design_file(tmp_path, capsys):
     assert "cannot read design file" in capsys.readouterr().err
 
 
+def test_candidates_rejects_repeated_design_rows(tmp_path, capsys):
+    # rows 1 and 4 repeat (row 4 with -0.0); so do rows 2 and 5, found later
+    design = np.array(
+        [[0.5, 0.5], [0.1, 0.0], [0.8, 0.3], [0.4, 0.9], [0.1, -0.0], [0.8, 0.3]]
+    )
+    design_path = tmp_path / "design.csv"
+    np.savetxt(design_path, design, delimiter=",")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "candidates", "--design", str(design_path), "--scheme", "vor",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "rows 1 and 4 are identical" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
 def test_candidates_rejects_negative_iteration(tmp_path, capsys, scheme):
     with pytest.raises(SystemExit) as exc:

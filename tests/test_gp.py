@@ -126,6 +126,19 @@ def test_predictive_variance_nonnegative_and_deterministic():
     np.testing.assert_array_equal(s1, s2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_are_rejected(bad):
+    # the solves skip SciPy's own finiteness checks, so the moments check once
+    X, y = _fit_data(7)
+    model = gp.build(X, y, np.full(2, 0.5))
+    queries = np.random.default_rng(8).random((5, 2))
+    queries[3, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp.predict(model, queries)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp.predict_grad(model, queries[3])
+
+
 def test_factorization_reproduces_kernel_matrix():
     X, y = _fit_data(6)
     ls = np.array([0.3, 1.2])

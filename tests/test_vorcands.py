@@ -279,7 +279,7 @@ def test_pair_check_agrees_with_the_query(metric, dim):
     rng = np.random.default_rng(107)
     if metric is Metric.LINF:
         design = _rect_grown_design(dim, rng)
-        origins, directions = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
+        origins, directions, _ = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
     else:
         design = rng.random((200, dim))
         origins, directions = _random_batch(design, 300, rng)
@@ -415,6 +415,31 @@ def test_direct_sample_rect_directions_are_axes():
     np.testing.assert_array_equal(nonzero, np.ones(100))
     mags = np.abs(cs.directions).max(axis=1)
     np.testing.assert_allclose(mags, np.sqrt(6) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_rect_batch_walks_each_distinct_walk_once(metric, monkeypatch):
+    # a rect walk is fixed by (origin, signed axis): 15 x 10 of them here,
+    # drawn 2500 times; the batch as drawn, walked in full, is the reference
+    design = np.random.default_rng(202).random((15, 5))
+    n, dim = design.shape
+    draws = np.random.default_rng(203)
+    origins = draws.integers(0, n, size=2500).astype(np.intp)
+    axes = draws.integers(0, 2 * dim, size=2500)
+    scale = np.sqrt(dim) * (1.0 + 1e-9)
+    directions = np.zeros((2500, dim))
+    directions[np.arange(2500), axes % dim] = np.where(axes < dim, scale, -scale)
+    full = vorwalk(design, origins, directions, metric)
+    prop = full.boundary_hit.mean()
+    full = vorcands._halfway_rule(full, design)
+
+    sizes = []
+    monkeypatch.setattr(vorcands, "vorwalk", lambda *a: sizes.append(len(a[1])) or vorwalk(*a))
+    cs = walk_sample(design, 2500, "rect", metric, None, np.random.default_rng(203))
+    assert sizes == [len(np.unique(origins * 2 * dim + axes))] and sizes[0] <= 150
+    for field in ("points", "origin", "t_lower", "directions", "boundary_hit", "uncertified"):
+        assert getattr(cs, field).tobytes() == getattr(full, field).tobytes()
+    assert boundary_proportion(design, 2500, "rect", metric, np.random.default_rng(203)) == prop
 
 
 @pytest.mark.parametrize("metric", list(Metric))
