@@ -9,6 +9,12 @@ keeps factorizations positive definite on deterministic data; predictions
 report the latent-function standard deviation, so at a training input the sd
 collapses to roughly sqrt(nugget * tau_sq).  `predict_grad` gives the moments
 and their gradients at one point from a single correlation row.
+
+Every factorization and solve calls LAPACK (`scipy.linalg.lapack`) directly:
+at the sizes a BO run reaches (N in the tens) SciPy's wrappers cost more
+than the work they wrap.  The wrappers' finiteness checks move to the entry
+points instead: `build` and `fit` reject non-finite designs and outputs, and
+the predictive pass rejects non-finite queries.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -53,7 +59,8 @@ class GpModel:
     `chol` is the lower Cholesky factor of the unit-scale matrix C + g*I
     (correlations plus nugget), so tau_sq * (chol @ chol.T) reproduces the
     kernel matrix plus effective jitter; `alpha` is (C + g*I)^-1 applied to
-    the centered outputs.
+    the centered outputs.  `chol` is C-contiguous, so `chol.T` is the
+    Fortran-ordered upper factor that `dtrtrs` reads without a copy.
     """
 
     design: np.ndarray
@@ -84,15 +91,49 @@ def _corr(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     return np.exp(-cdist(a / scale, b / scale, "sqeuclidean"))
 
 
+def _check_data(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Design and outputs as float arrays of matching length, both finite.
+
+    LAPACK is called without SciPy's checks, so this is where a NaN or inf
+    in the training data is caught.
+    """
+    design = np.ascontiguousarray(design, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if design.ndim != 2 or design.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"design {design.shape} and outputs {y.shape} have mismatched lengths"
+        )
+    if not np.isfinite(design).all():
+        raise ValueError("design must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("outputs must be finite")
+    return design, y
+
+
+def _solved(x_info: tuple[np.ndarray, int], routine: str) -> np.ndarray:
+    """The solution from a LAPACK solve, which fails only on a malformed call."""
+    x, info = x_info
+    if info != 0:
+        raise ValueError(f"LAPACK {routine} failed with info={info}")
+    return x
+
+
 def _factor_with_escalation(corr: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky of corr + g*I, escalating g tenfold from NUGGET until it succeeds."""
+    """Cholesky of corr + g*I, escalating g tenfold from NUGGET until it succeeds.
+
+    The lower factor comes back Fortran-ordered, as `dpotrf` writes it, with
+    the upper triangle zeroed.
+    """
+    step = corr.shape[0] + 1
     g = NUGGET
     while True:
-        try:
-            low, _ = cho_factor(corr + g * np.eye(corr.shape[0]), lower=True)
-            return np.tril(low), g
-        except np.linalg.LinAlgError:
-            pass
+        a = np.array(corr, dtype=float, order="F")
+        a.flat[::step] += g
+        low, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return low, g
+        if info < 0:
+            raise ValueError(f"LAPACK dpotrf failed with info={info}")
         if g >= NUGGET_MAX:
             raise SurrogateFitError(
                 f"correlation matrix not positive definite at jitter {g:g}"
@@ -102,20 +143,13 @@ def _factor_with_escalation(corr: np.ndarray) -> tuple[np.ndarray, float]:
 
 def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     """Assemble a model at fixed lengthscales; tau_sq is profiled from the data."""
-    design = np.ascontiguousarray(design, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if design.ndim != 2 or design.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"design {design.shape} and outputs {y.shape} have mismatched lengths"
-        )
-    if not np.isfinite(y).all():
-        raise ValueError("outputs must be finite")
+    design, y = _check_data(design, y)
     lengthscales = _check_lengthscales(lengthscales, design.shape[1])
 
     y_mean = float(y.mean())
     yc = y - y_mean
     low, g = _factor_with_escalation(_corr(design, design, lengthscales))
-    alpha = cho_solve((low, True), yc)
+    alpha = _solved(dpotrs(low, yc, lower=1), "dpotrs")
     tau_sq = max(float(yc @ alpha) / y.shape[0], TAU_SQ_FLOOR)
     hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
     return GpModel(
@@ -123,7 +157,7 @@ def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpMode
         y_centered=yc,
         y_mean=y_mean,
         hyper=hyper,
-        chol=low,
+        chol=np.ascontiguousarray(low),
         alpha=alpha,
     )
 
@@ -152,13 +186,13 @@ def _nll_and_grad(
         low, _ = _factor_with_escalation(corr)
     except SurrogateFitError:
         return 1e25, np.zeros_like(theta)
-    alpha = cho_solve((low, True), yc)
+    alpha = _solved(dpotrs(low, yc, lower=1), "dpotrs")
     quad = float(yc @ alpha)
     tau_sq = max(quad / n, TAU_SQ_FLOOR)
     logdet = 2.0 * float(np.log(np.diag(low)).sum())
     nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
 
-    m = cho_solve((low, True), 0.5 * np.eye(n))
+    m = _solved(dpotrs(low, 0.5 * np.eye(n, order="F"), lower=1, overwrite_b=1), "dpotrs")
     m -= np.outer((0.5 * n / max(quad, n * TAU_SQ_FLOOR)) * alpha, alpha)
     m *= corr
     grad = 2.0 * (m.sum(axis=1) @ design**2 - (design * (m @ design)).sum(axis=0)) / ls
@@ -174,8 +208,7 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     (in likelihood) than the warm start; lengthscales landing on a box bound
     are legitimate fits for unidentifiable data, not errors.
     """
-    design = np.ascontiguousarray(design, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    design, y = _check_data(design, y)
     if design.shape[0] < 2:
         raise ValueError(f"need at least 2 observations to fit, got {design.shape[0]}")
     lengthscales = _check_lengthscales(lengthscales, design.shape[1])
@@ -210,15 +243,18 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
 def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
     """Correlation rows, w = chol^-1 rho', and the predictive mean and sd.
 
-    The queries are checked once here; the solves then skip SciPy's own
-    finiteness checks, since finite queries give finite correlations and
-    `cho_factor` has already checked the Cholesky factor.
+    The queries are checked here, since LAPACK is called unchecked: finite
+    queries give finite correlations, and `build` checked the data behind
+    the Cholesky factor.
     """
     if not np.isfinite(queries).all():
         raise ValueError("queries must not contain infs or NaNs")
     rho = _corr(queries, model.design, model.hyper.lengthscales)
     mean = model.y_mean + rho @ model.alpha
-    w = solve_triangular(model.chol, rho.T, lower=True, check_finite=False)
+    # chol.T is the upper factor U = L'; solving U' w = rho' is L w = rho'.
+    # This is the call SciPy makes for a C-ordered lower factor, and its bits
+    # differ from solving with the Fortran-ordered L itself.
+    w = _solved(dtrtrs(model.chol.T, rho.T, lower=0, trans=1), "dtrtrs")
     var = model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
     return rho, w, mean, np.sqrt(var)
 
@@ -251,6 +287,6 @@ def predict_grad(
     dmean = j.T @ model.alpha
     if sd[0] <= 0.0:
         return float(mean[0]), 0.0, dmean, np.zeros_like(dmean)
-    # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w
-    v = solve_triangular(model.chol, w[:, 0], lower=True, trans="T", check_finite=False)
+    # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w = U^-1 w
+    v = _solved(dtrtrs(model.chol.T, w[:, 0], lower=0, trans=0), "dtrtrs")
     return float(mean[0]), float(sd[0]), dmean, -model.hyper.tau_sq * (j.T @ v) / sd[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from vorbo import gp
 from vorbo.gp import SurrogateFitError
@@ -25,6 +26,67 @@ def _dense_moments(model, queries):
     mean = model.y_mean + k_star @ inv @ model.y_centered
     var = tau_sq - np.einsum("ij,jk,ik->i", k_star, inv, k_star)
     return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+# Oracles: the surrogate's linear algebra written with SciPy's checked
+# wrappers. gp calls LAPACK directly and must give the same bits.
+
+
+def _scipy_factor(corr):
+    g = gp.NUGGET
+    while True:
+        try:
+            low, _ = cho_factor(corr + g * np.eye(corr.shape[0]), lower=True)
+            return np.tril(low), g
+        except np.linalg.LinAlgError:
+            if g >= gp.NUGGET_MAX:
+                raise SurrogateFitError("not positive definite") from None
+            g = min(g * 10.0, gp.NUGGET_MAX)
+
+
+def _scipy_nll_and_grad(theta, design, yc):
+    n = design.shape[0]
+    ls = np.exp(theta)
+    corr = gp._corr(design, design, ls)
+    low, _ = _scipy_factor(corr)
+    alpha = cho_solve((low, True), yc)
+    quad = float(yc @ alpha)
+    tau_sq = max(quad / n, gp.TAU_SQ_FLOOR)
+    logdet = 2.0 * float(np.log(np.diag(low)).sum())
+    nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
+    m = cho_solve((low, True), 0.5 * np.eye(n))
+    m -= np.outer((0.5 * n / max(quad, n * gp.TAU_SQ_FLOOR)) * alpha, alpha)
+    m *= corr
+    grad = 2.0 * (m.sum(axis=1) @ design**2 - (design * (m @ design)).sum(axis=0)) / ls
+    return nll, grad
+
+
+def _scipy_moments(model, queries):
+    low = np.ascontiguousarray(model.chol)
+    rho = gp._corr(queries, model.design, model.hyper.lengthscales)
+    mean = model.y_mean + rho @ model.alpha
+    w = solve_triangular(low, rho.T, lower=True)
+    sd = np.sqrt(model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0))
+    return low, rho, w, mean, sd
+
+
+def _scipy_predict_grad(model, query):
+    query = query.reshape(1, -1)
+    low, rho, w, mean, sd = _scipy_moments(model, query)
+    j = rho.T * (-2.0 * (query - model.design) / model.hyper.lengthscales)
+    v = solve_triangular(low, w[:, 0], lower=True, trans="T")
+    return mean[0], sd[0], j.T @ model.alpha, -model.hyper.tau_sq * (j.T @ v) / sd[0]
+
+
+def _random_problem(rng, n):
+    dim = int(rng.integers(1, 21))
+    X = rng.random((n, dim))
+    y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.standard_normal(n)
+    theta = rng.uniform(np.log(0.05), np.log(5.0), size=dim)
+    return X, y, theta
+
+
+ORACLE_SIZES = [2, 3, 5, 8, 13, 21, 34, 55, 80]
 
 
 def _fit_data(seed, n=25, dim=2):
@@ -128,7 +190,7 @@ def test_predictive_variance_nonnegative_and_deterministic():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_queries_are_rejected(bad):
-    # the solves skip SciPy's own finiteness checks, so the moments check once
+    # LAPACK is called without finiteness checks, so the moments check once
     X, y = _fit_data(7)
     model = gp.build(X, y, np.full(2, 0.5))
     queries = np.random.default_rng(8).random((5, 2))
@@ -283,6 +345,24 @@ def test_constant_outputs_keep_model_usable():
     assert np.isfinite(sd[0]) and sd[0] >= 0.0
 
 
+@pytest.mark.parametrize("where", ["design", "outputs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_before_any_factorization(where, bad, monkeypatch):
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the likelihood search started on non-finite data")
+
+    monkeypatch.setattr(gp, "minimize", no_optimizer)
+    X, y = _fit_data(19, n=10)
+    if where == "design":
+        X[4, 1] = bad
+    else:
+        y[6] = bad
+    with pytest.raises(ValueError, match=f"{where} must be finite"):
+        gp.build(X, y, np.full(2, 0.5))
+    with pytest.raises(ValueError, match=f"{where} must be finite"):
+        gp.fit(X, y, np.full(2, 0.5))
+
+
 def test_fit_requires_two_points():
     with pytest.raises(ValueError, match="at least 2"):
         gp.fit(np.array([[0.5]]), np.array([1.0]), np.ones(1))
@@ -292,6 +372,55 @@ def test_escalation_gives_up_on_indefinite_matrix():
     not_a_corr = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
     with pytest.raises(SurrogateFitError):
         gp._factor_with_escalation(not_a_corr)
+
+
+def test_escalation_succeeds_at_an_intermediate_nugget():
+    # eigenvalue -5e-8: indefinite at the first nugget 1e-8, definite at 1e-7
+    corr = np.array([[1.0, 1.0 + 5e-8], [1.0 + 5e-8, 1.0]])
+    low, g = gp._factor_with_escalation(corr)
+    assert g == pytest.approx(1e-7, rel=1e-12)
+    np.testing.assert_allclose(low @ low.T, corr + g * np.eye(2), rtol=0, atol=1e-15)
+    ref_low, ref_g = _scipy_factor(corr)
+    assert g == ref_g and np.array_equal(low, ref_low)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_factorization_is_bit_equal_to_cho_factor(n):
+    rng = np.random.default_rng([20, n])
+    for _ in range(5):
+        X, _, theta = _random_problem(rng, n)
+        corr = gp._corr(X, X, np.exp(theta))
+        low, g = gp._factor_with_escalation(corr)
+        ref_low, ref_g = _scipy_factor(corr)
+        assert g == ref_g
+        assert np.array_equal(low, ref_low)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_likelihood_is_bit_equal_to_cho_solve_form(n):
+    rng = np.random.default_rng([21, n])
+    for _ in range(5):
+        X, y, theta = _random_problem(rng, n)
+        yc = y - y.mean()
+        nll, grad = gp._nll_and_grad(theta, X, yc)
+        ref_nll, ref_grad = _scipy_nll_and_grad(theta, X, yc)
+        assert nll == ref_nll
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_predictions_are_bit_equal_to_solve_triangular(n):
+    rng = np.random.default_rng([22, n])
+    for _ in range(5):
+        X, y, theta = _random_problem(rng, n)
+        model = gp.build(X, y, np.exp(theta))
+        assert model.chol.flags.c_contiguous
+        queries = rng.random((7, X.shape[1]))
+        *_, ref_mean, ref_sd = _scipy_moments(model, queries)
+        mean, sd = gp.predict(model, queries)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(sd, ref_sd)
+        for got, ref in zip(gp.predict_grad(model, queries[0]), _scipy_predict_grad(model, queries[0])):
+            assert np.array_equal(got, ref)
 
 
 def test_fit_determinism():
