@@ -114,6 +114,13 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
     dims = _int_list(args.dims)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    counts = {"--reps": [args.reps], "--count": [args.count], "--sizes": sizes, "--dims": dims}
+    for flag, values in counts.items():
+        if min(values, default=0) < 1:
+            raise ValueError(f"{flag} takes integers >= 1, got {values}")
+    for flag, names in (("--strategies", strategies), ("--metrics", metrics)):
+        if not names:
+            raise ValueError(f"{flag} is empty")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")

@@ -17,13 +17,12 @@ at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K ([1 -
 2^-K, 1] at t = 1, where it starts), and each round probes its lower end.
 If the probe's nearest design point x_j (ties to the smaller index, as in
 `nn_index`) is x_n, that end is certified; otherwise t jumps to the exact
-crossing of the bisector of x_n and x_j with the ray (closed form under L2
-and L-inf, a scalar bisection under L1).  Each round costs one
-nearest-neighbour query, batched over the live walks, and a walk typically
-needs two or three.  Probes are evaluated where they land, outside the unit
-cube included -- nearest-neighbour identity is well defined on all of R^P
--- so the walk tracks the true cell face even when that face lies beyond a
-cube wall.
+crossing of the bisector of x_n and x_j with the ray (closed form under
+every metric).  Each round costs one nearest-neighbour query, batched over
+the live walks, and a walk typically needs two or three.  Probes are
+evaluated where they land, outside the unit cube included --
+nearest-neighbour identity is well defined on all of R^P -- so the walk
+tracks the true cell face even when that face lies beyond a cube wall.
 
 The upper end needs no scan: one pair of distances shows that the last
 blocker beats x_n there, and only where that pair could round the other
@@ -58,10 +57,6 @@ from .sampling import lhs, sphere_direction
 #: Walks bracket the boundary within 2^-30 ~ 1e-9; the fallback bisection
 #: takes this many rounds.
 BISECTION_ITERS = 30
-
-#: Halvings of [0, 1] in the scalar L1 crossing search: 2^-64 is far below
-#: the half bracket 2^-(K+1), so the search error never reaches certification.
-_L1_CROSSING_ITERS = 64
 
 #: Directions are scaled to sqrt(P) * (1 + _NORM_SLACK) so their norm lands
 #: strictly past sqrt(P) rather than exactly on it.
@@ -119,29 +114,11 @@ class CandidateSet:
 
 def _as_design(design: np.ndarray) -> np.ndarray:
     design = np.ascontiguousarray(design, dtype=float)
-    if design.ndim != 2 or design.shape[0] < 1:
-        raise ValueError(f"design must be a non-empty 2-D array, got shape {design.shape}")
+    if design.ndim != 2 or min(design.shape) < 1:
+        raise ValueError(f"design must be N >= 1 points in P >= 1 dimensions, got {design.shape}")
     if design.min() < 0.0 or design.max() > 1.0:
         raise ValueError("design points must lie in the unit cube")
     return design
-
-
-def _bisect(
-    index: nn_index.NnIndex,
-    anchors: np.ndarray,
-    directions: np.ndarray,
-    origins: np.ndarray,
-    iters: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect on t in [0, 1] with the owner predicate; the final (t_lo, t_hi)."""
-    t_lo = np.zeros(origins.shape[0])
-    t_hi = np.ones(origins.shape[0])
-    for _ in range(iters):
-        mid = 0.5 * (t_lo + t_hi)
-        ok = nn_index.nearest_batch(index, anchors + mid[:, None] * directions) == origins
-        t_lo[ok] = mid[ok]
-        t_hi[~ok] = mid[~ok]
-    return t_lo, t_hi
 
 
 def _crossing(
@@ -158,7 +135,10 @@ def _crossing(
     (as in `nn_index`), so the walk leaves at the largest t with g(t) > 0
     where `strict` (x has the smaller index) and g(t) >= 0 elsewhere; the
     two differ where g stays 0 over an interval, as under L-inf when x and
-    a share the coordinate u is longest in.  Infinite: the walk never leaves.
+    a share the coordinate u is longest in, and under L1 when the
+    coordinates u points toward x in hold half of |x - a|_1.  The crossing
+    is in closed form under every metric; infinite means the walk never
+    leaves.  Under L1 it is 1.0 wherever the distances at t = 1 keep a.
     """
     w = blockers - anchors
     if metric is Metric.L2:
@@ -176,21 +156,29 @@ def _crossing(
         bounds = np.where(np.isnan(bounds), np.where(strict, -np.inf, np.inf)[:, None], bounds)
         return bounds.max(axis=1)
 
-    # L1: bisect g on [0, 1] alone, which needs no nearest-neighbour query
-    def keeps_origin(t: np.ndarray) -> np.ndarray:
-        probes = anchors + t[:, None] * directions
-        d_blocker = distance(metric, probes, blockers)
-        d_origin = distance(metric, probes, anchors)
-        return np.where(strict, d_blocker > d_origin, d_blocker >= d_origin)
-
-    lo = np.zeros(anchors.shape[0])
-    hi = np.ones(anchors.shape[0])
-    for _ in range(_L1_CROSSING_ITERS):
-        mid = 0.5 * (lo + hi)
-        ok = keeps_origin(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return np.where(keeps_origin(np.ones_like(lo)), 1.0, lo)
+    # L1: g = |w|_1 - 2 F(t), F(t) = sum_i min(t |u_i|, c_i) with c_i = |w_i|
+    # where u_i w_i > 0 (0 elsewhere), is concave and piecewise linear.  Over
+    # the knots c_i / |u_i| in order, the segment ending at knot k is F =
+    # sum_{j<k} c_j + t sum_{j>=k} |u_j|; solve the first whose end reaches
+    # |w|_1 / 2 where `strict` and passes it elsewhere, so only a strict walk
+    # leaves a flat stretch at |w|_1 / 2 (where it starts; at t = 0 if w = 0)
+    toward = directions * w > 0.0
+    c, s = np.abs(w) * toward, np.abs(directions) * toward
+    knots = np.divide(c, s, out=np.zeros_like(c), where=toward)
+    order = np.argsort(knots, axis=1)
+    knots, c, s = (np.take_along_axis(v, order, axis=1) for v in (knots, c, s))
+    c_below, s_from = np.cumsum(c, axis=1) - c, np.cumsum(s[:, ::-1], axis=1)[:, ::-1]
+    half = 0.5 * np.abs(w).sum(axis=1)
+    ends = c_below + knots * s_from
+    past = np.where(strict[:, None], ends >= half[:, None], ends > half[:, None])
+    k, rows = past.argmax(axis=1), np.arange(len(w))
+    found, slope = past[rows, k], s_from[rows, k]
+    cross = np.where(found, 0.0, np.inf)
+    np.divide(half - c_below[rows, k], slope, out=cross, where=found & (slope > 0.0))
+    # t = 1 is the origin's wherever the distances there say so
+    probes = anchors + directions
+    d_blocker, d_origin = distance(metric, probes, blockers), distance(metric, probes, anchors)
+    return np.where(np.where(strict, d_blocker > d_origin, d_blocker >= d_origin), 1.0, cross)
 
 
 def _bracket(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +271,15 @@ def vorwalk(
         rest = up[~beaten]
         certified[rest] = nn_index.nearest_batch(index, probes[~beaten]) != origins[rest]
 
+    # the fallback: bisect t in [0, 1] on the owner predicate
     redo = np.flatnonzero(~certified)
     if redo.size:
-        t_lo[redo], t_hi[redo] = _bisect(
-            index, anchors[redo], directions[redo], origins[redo], BISECTION_ITERS
-        )
+        t_lo[redo], t_hi[redo] = 0.0, 1.0
+        for _ in range(BISECTION_ITERS):
+            mid = 0.5 * (t_lo[redo] + t_hi[redo])
+            probes = anchors[redo] + mid[:, None] * directions[redo]
+            ok = nn_index.nearest_batch(index, probes) == origins[redo]
+            t_lo[redo[ok]], t_hi[redo[~ok]] = mid[ok], mid[~ok]
 
     mid = 0.5 * (t_lo + t_hi)
     return CandidateSet(

@@ -249,6 +249,34 @@ def test_boundary_study_rejects_unknown_metric(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dims", "0"),
+        ("--sizes", "0"),
+        ("--sizes", ","),
+        ("--reps", "0"),
+        ("--reps", "-1"),
+        ("--count", "0"),
+        ("--strategies", ","),
+        ("--metrics", ""),
+    ],
+)
+def test_boundary_study_rejects_empty_or_nonpositive_flags(
+    tmp_path, monkeypatch, capsys, flag, value
+):
+    def walk(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("vorbo.cli.boundary_proportion", walk)
+    out = tmp_path / "study.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary-study", f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_boundary_study_rejects_missing_output_directory(tmp_path, monkeypatch, capsys):
     def walk(*args):
         raise AssertionError("the study ran")

@@ -27,8 +27,9 @@ def _brute_owner(design: np.ndarray, q: np.ndarray, metric: Metric) -> int:
     return int(np.flatnonzero(d == d.min())[0])
 
 
-#: The unpatched query, for tests that count vorwalk's calls.
+#: The unpatched query and crossing, for tests that patch them.
 real_nearest = nn_index.nearest_batch
+real_crossing = vorcands._crossing
 
 
 def _random_batch(design, count, rng):
@@ -230,7 +231,6 @@ def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, m
     # that really leave their cell fail the lower end's check; scaling by
     # 0.5 stops them inside the cell, where the upper end's check fails.
     # Either way exactly the walks that leave their cell are bisected
-    real_crossing = vorcands._crossing
     monkeypatch.setattr(vorcands, "_crossing", lambda *args: scale * real_crossing(*args))
     rng = np.random.default_rng(103)
     design = rng.random((20, 5))
@@ -366,8 +366,103 @@ def test_walk_batch_validation():
         vorwalk(design, origins, bad, Metric.L2)
     with pytest.raises(ValueError, match="unit cube"):
         vorwalk(design * 3.0, origins, directions, Metric.L2)
+    for empty in (design[:0], design[:, :0]):
+        with pytest.raises(ValueError, match="P >= 1"):
+            vorwalk(empty, origins, directions, Metric.L2)
     # short directions are legal: the walk just flags more wall hits
     assert len(vorwalk(design, origins, directions * 0.1, Metric.L2)) == 5
+
+
+# ------------------------------ L1 crossings --------------------------------
+
+
+def _bisected_crossing(metric, anchors, directions, blockers, strict):
+    """The L1 crossing by 64 halvings of [0, 1] on the distances, the oracle
+    for `_crossing`'s closed form; other metrics go to `_crossing` itself."""
+    if metric is not Metric.L1:
+        return real_crossing(metric, anchors, directions, blockers, strict)
+
+    def keeps_origin(t):
+        probes = anchors + t[:, None] * directions
+        d_blocker = distance(metric, probes, blockers)
+        d_origin = distance(metric, probes, anchors)
+        return np.where(strict, d_blocker > d_origin, d_blocker >= d_origin)
+
+    lo, hi = np.zeros(len(anchors)), np.ones(len(anchors))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ok = keeps_origin(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(keeps_origin(np.ones_like(lo)), 1.0, lo)
+
+
+def _l1_gap(anchors, directions, blockers, t):
+    """g(t) = d(a + t*u, x) - d(a + t*u, a) under L1, summed coordinate by coordinate."""
+    probes = anchors + t[:, None] * directions
+    return np.abs(probes - blockers).sum(axis=1) - np.abs(probes - anchors).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 100])
+@pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
+def test_l1_crossing_matches_bisection(dim, strategy):
+    # blockers: the owner of each walk's full step, as the walk's first round
+    # meets it, or, where that is the origin, a point near the ray ahead
+    rng = np.random.default_rng([109, dim])
+    design = rng.random((40, dim))
+    origins, directions, _ = vorcands._walk_batch(design, 400, strategy, Metric.L1, None, rng)
+    anchors = design[origins]
+    owners = real_nearest(nn_index.build(design, Metric.L1), anchors + directions)
+    met = owners != origins
+    ahead = anchors + rng.random((len(origins), 1)) * directions
+    ahead += 0.05 * rng.standard_normal(ahead.shape)
+    blockers = np.where(met[:, None], design[owners], ahead)
+    strict = np.where(met, owners < origins, rng.random(len(origins)) < 0.5)
+    args = (Metric.L1, anchors, directions, blockers, strict)
+
+    cross = real_crossing(*args)
+    oracle = _bisected_crossing(*args)
+    np.testing.assert_array_equal(cross < 1.0, oracle < 1.0)
+    np.testing.assert_allclose(cross, oracle, rtol=0.0, atol=1e-12)
+    leave = cross < 1.0
+    assert leave.sum() > 50
+    a, u, x, t = anchors[leave], directions[leave], blockers[leave], cross[leave]
+    assert (_l1_gap(a, u, x, t - 1e-9) >= 0.0).all()
+    assert (_l1_gap(a, u, x, t + 1e-9) < 0.0).all()
+
+
+def test_l1_crossing_on_a_flat_stretch():
+    # from a = (1/4, 1/4) along u = (1, 0), the blocker x = (1/2, 1/2) ties
+    # with a from t = 1/4 on: g = 1/2 - 2 min(t, 1/4).  A blocker with the
+    # smaller index owns the tie, so the walk leaves where the tie starts;
+    # one with the larger index never takes the ray
+    a, x, u = np.array([[0.25, 0.25]]), np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])
+    for strict, expected in ((True, 0.25), (False, 1.0)):
+        args = (Metric.L1, a, u, x, np.array([strict]))
+        assert real_crossing(*args)[0] == expected
+        assert _bisected_crossing(*args)[0] == pytest.approx(expected, abs=1e-15)
+
+    # the same tie in a walk: from the larger index it stops at x_0 = 1/2,
+    # from the smaller it runs to the wall
+    step = np.array([[np.sqrt(2.0) * (1 + 1e-9), 0.0]])
+    for design, hit in ((np.vstack([x, a]), False), (np.vstack([a, x]), True)):
+        origin = np.flatnonzero((design == a).all(axis=1))
+        cs = vorwalk(design, origin, step, Metric.L1)
+        assert cs.boundary_hit[0] == hit and not cs.uncertified[0]
+        if not hit:
+            np.testing.assert_allclose(cs.points[0], [0.5, 0.25], atol=1e-8)
+
+
+def test_l1_rect_walk_never_leaves_past_a_far_blocker():
+    # along axis 0 the blocker is nearer by |w_0| = 0.2 but farther by 0.4
+    # in the other coordinates, so a + t*e_0 stays the origin's for every t
+    a, x = np.array([0.2, 0.2, 0.2]), np.array([0.4, 0.5, 0.1])
+    u = np.array([[np.sqrt(3.0) * (1 + 1e-9), 0.0, 0.0]])
+    for strict in (True, False):
+        args = (Metric.L1, a[None, :], u, x[None, :], np.array([strict]))
+        assert real_crossing(*args)[0] == _bisected_crossing(*args)[0] == 1.0
+    for design in (np.vstack([a, x]), np.vstack([x, a])):
+        origin = np.flatnonzero((design == a).all(axis=1))
+        assert vorwalk(design, origin, u, Metric.L1).boundary_hit[0]
 
 
 # --------------------------- halfway rule -----------------------------------
@@ -552,3 +647,23 @@ def test_boundary_proportion_range_and_validation():
     assert 0.0 <= prop <= 1.0
     with pytest.raises(ValueError, match="strategy"):
         boundary_proportion(design, 10, "grid", Metric.L2, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("n", [10, 100])
+@pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
+def test_l1_wall_hit_proportions_match_bisected_crossings(n, dim, strategy, monkeypatch):
+    real_vorwalk = vorcands.vorwalk
+    walks = []
+
+    def recording(*args):
+        walks.append(real_vorwalk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(vorcands, "vorwalk", recording)
+    design = np.random.default_rng([110, n, dim]).random((n, dim))
+    study = lambda: boundary_proportion(design, 300, strategy, Metric.L1, np.random.default_rng(8))
+    closed_form = study()
+    monkeypatch.setattr(vorcands, "_crossing", _bisected_crossing)
+    assert study() == closed_form
+    assert not any(cs.uncertified.any() for cs in walks)
