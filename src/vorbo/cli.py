@@ -164,12 +164,22 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
 def cmd_candidates(args: argparse.Namespace) -> int:
     if args.iteration < 0:
         raise ValueError(f"--iteration must be >= 0, got {args.iteration}")
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.design is not None:
         try:
             design = np.loadtxt(args.design, delimiter=",", ndmin=2)
         except OSError as exc:
             print(f"cannot read design file {args.design}: {exc}", file=sys.stderr)
             return 1
+        # every scheme writes the design back out, so every scheme checks it
+        # (a NaN fails both comparisons)
+        outside = np.flatnonzero(~((design >= 0.0) & (design <= 1.0)).all(axis=1))
+        if outside.size:
+            raise ValueError(
+                f"design file {args.design}: row {outside[0]} is not a point of the"
+                " unit cube [0, 1]^P (rows count from 0)"
+            )
         # a repeated row's later copy owns no cell, so every walk from it fails
         _, first, rows = np.unique(design, axis=0, return_index=True, return_inverse=True)
         repeats = np.flatnonzero(first[rows] != np.arange(design.shape[0]))

@@ -4,17 +4,19 @@ The kernel is k(a, b) = tau_sq * exp(-sum_p (a_p - b_p)^2 / ls_p); every
 correlation comes from the one evaluator `_corr`.  The signal scale tau_sq is
 profiled out of the likelihood in closed form, so fitting optimizes only the
 log-lengthscales (box-constrained quasi-Newton ascent with an analytic
-gradient, all dimensions from one matrix product).  A small relative nugget
-keeps factorizations positive definite on deterministic data; predictions
-report the latent-function standard deviation, so at a training input the sd
-collapses to roughly sqrt(nugget * tau_sq).  `predict_grad` gives the moments
-and their gradients at one point from a single correlation row.
+gradient, all dimensions from one matrix product with the inverse
+correlation matrix, which `dpotri` forms from the likelihood's Cholesky
+factor).  A small relative nugget keeps factorizations positive definite on
+deterministic data; predictions report the latent-function standard
+deviation, so at a training input the sd collapses to roughly
+sqrt(nugget * tau_sq).  `predict_grad` gives the moments and their gradients
+at one point from a single correlation row.
 
-Every factorization and solve calls LAPACK (`scipy.linalg.lapack`) directly:
-at the sizes a BO run reaches (N in the tens) SciPy's wrappers cost more
-than the work they wrap.  The wrappers' finiteness checks move to the entry
-points instead: `build` and `fit` reject non-finite designs and outputs, and
-the predictive pass rejects non-finite queries.
+Every factorization, inverse and solve calls LAPACK (`scipy.linalg.lapack`)
+directly: at the sizes a BO run reaches (N in the tens) SciPy's wrappers
+cost more than the work they wrap.  The wrappers' finiteness checks move to
+the entry points instead: `build` and `fit` reject non-finite designs and
+outputs, and the predictive pass rejects non-finite queries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -174,10 +176,14 @@ def _nll_and_grad(
                             + 1/2 * tr(A^-1 dA),
 
     with dA/d(theta_p) = C .* sqdist_p / ls_p elementwise (Rasmussen &
-    Williams 2006, eq. 5.9).  Both terms are sums over M .* sqdist_p / ls_p
-    with M = (A^-1 / 2 - N/2 * alpha alpha' / (yc' alpha)) .* C, and since M
-    is symmetric, sum_ij M_ij (x_ip - x_jp)^2 = 2 * (rowsum(M)' x_p^2 -
-    x_p' M x_p): every dimension at once from one product M X.
+    Williams 2006, eq. 5.9).  Together the terms are half the sum over
+    M .* sqdist_p / ls_p with M = (A^-1 - N * alpha alpha' / (yc' alpha)) .* C,
+    and since M is symmetric, sum_ij M_ij (x_ip - x_jp)^2 = 2 * (rowsum(M)'
+    x_p^2 - x_p' M x_p): every dimension at once from one product M X.
+    sqdist_p vanishes on the diagonal, so M's diagonal is set to zero first:
+    kept, its terms cancel between rowsum(M)' x_p^2 and x_p' M x_p, exactly
+    in exact arithmetic but catastrophically in floating point wherever A^-1
+    is large.
     """
     n = design.shape[0]
     ls = np.exp(theta)
@@ -192,10 +198,15 @@ def _nll_and_grad(
     logdet = 2.0 * float(np.log(np.diag(low)).sum())
     nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
 
-    m = _solved(dpotrs(low, 0.5 * np.eye(n, order="F"), lower=1, overwrite_b=1), "dpotrs")
-    m -= np.outer((0.5 * n / max(quad, n * TAU_SQ_FLOOR)) * alpha, alpha)
+    # dpotri writes A^-1's lower triangle over the factor, whose upper
+    # triangle `clean` zeroed: adding the transpose mirrors it, doubling
+    # only the diagonal, which is zeroed below
+    inv = _solved(dpotri(low, lower=1, overwrite_c=1), "dpotri")
+    m = inv + inv.T
+    m -= np.outer((n / max(quad, n * TAU_SQ_FLOOR)) * alpha, alpha)
     m *= corr
-    grad = 2.0 * (m.sum(axis=1) @ design**2 - (design * (m @ design)).sum(axis=0)) / ls
+    m.flat[:: n + 1] = 0.0
+    grad = (m.sum(axis=1) @ design**2 - (design * (m @ design)).sum(axis=0)) / ls
     return nll, grad
 
 

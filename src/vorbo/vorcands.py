@@ -116,7 +116,8 @@ def _as_design(design: np.ndarray) -> np.ndarray:
     design = np.ascontiguousarray(design, dtype=float)
     if design.ndim != 2 or min(design.shape) < 1:
         raise ValueError(f"design must be N >= 1 points in P >= 1 dimensions, got {design.shape}")
-    if design.min() < 0.0 or design.max() > 1.0:
+    # written so that a NaN, which compares false, fails too
+    if not (design.min() >= 0.0 and design.max() <= 1.0):
         raise ValueError("design points must lie in the unit cube")
     return design
 

@@ -368,6 +368,35 @@ def test_candidates_rejects_negative_iteration(tmp_path, capsys, scheme):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_candidates_rejects_nonpositive_count_by_name(tmp_path, capsys, scheme, count):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "candidates", "--dim", "2", "--scheme", scheme, "--count", count,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+    assert exc.value.code == 2
+    assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.1", "1.5"])
+def test_candidates_rejects_design_outside_the_cube(tmp_path, capsys, scheme, bad):
+    design_path = tmp_path / "design.csv"
+    design_path.write_text(f"0.1,0.2\n0.8,0.3\n0.4,{bad}\n0.6,0.6\n")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "candidates", "--design", str(design_path), "--scheme", scheme,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"design file {design_path}: row 2 is not a point of the unit cube" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_candidates_needs_dim_or_design(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["candidates", "--out", str(tmp_path / "x.csv")])

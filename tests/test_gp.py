@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from vorbo import gp
 from vorbo.gp import SurrogateFitError
@@ -29,7 +30,9 @@ def _dense_moments(model, queries):
 
 
 # Oracles: the surrogate's linear algebra written with SciPy's checked
-# wrappers. gp calls LAPACK directly and must give the same bits.
+# wrappers. gp calls LAPACK directly and must give the same bits, except in
+# the likelihood gradient, which takes A^-1 from dpotri rather than from
+# cho_solve on the identity and is held to the per-dimension loop instead.
 
 
 def _scipy_factor(corr):
@@ -232,24 +235,32 @@ def test_likelihood_gradient_matches_finite_differences():
             assert abs(grad[p] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
-@pytest.mark.parametrize("n, dim", [(18, 3), (60, 20)])
+def _loop_gradient(theta, X, yc):
+    """Oracle: the textbook gradient, one dA/dtheta_p at a time, with the
+    nugget gp picks and A^-1 from np.linalg.inv."""
+    n, dim = X.shape
+    ls = np.exp(theta)
+    corr = np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
+    low, _ = gp._factor_with_escalation(corr)
+    a_inv = np.linalg.inv(low @ low.T)
+    alpha = a_inv @ yc
+    ref = np.empty(dim)
+    for p in range(dim):
+        d_a = corr * (X[:, p, None] - X[None, :, p]) ** 2 / ls[p]
+        ref[p] = -0.5 * n * (alpha @ d_a @ alpha) / (yc @ alpha) + 0.5 * (a_inv * d_a).sum()
+    return ref
+
+
+@pytest.mark.parametrize("n, dim", [(18, 3), (60, 20), (300, 100)])
 def test_likelihood_gradient_matches_per_dimension_loop(n, dim):
-    # the textbook form, one dA/dtheta_p at a time, with the nugget gp picks;
-    # the single-product form must agree up to round-off
+    # the single-product form must agree with the loop up to round-off; at
+    # (300, 100) M's diagonal, if kept, cancels to a relative error of 31
     X, y = _fit_data(17, n=n, dim=dim)
     yc = y - y.mean()
     rng = np.random.default_rng(18)
     for _ in range(5):
         theta = rng.uniform(np.log(0.05), np.log(5.0), size=dim)
-        ls = np.exp(theta)
-        corr = np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
-        low, _ = gp._factor_with_escalation(corr)
-        a_inv = np.linalg.inv(low @ low.T)
-        alpha = a_inv @ yc
-        ref = np.empty(dim)
-        for p in range(dim):
-            d_a = corr * (X[:, p, None] - X[None, :, p]) ** 2 / ls[p]
-            ref[p] = -0.5 * n * (alpha @ d_a @ alpha) / (yc @ alpha) + 0.5 * (a_inv * d_a).sum()
+        ref = _loop_gradient(theta, X, yc)
         _, grad = gp._nll_and_grad(theta, X, yc)
         assert np.abs(grad - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -384,6 +395,28 @@ def test_escalation_succeeds_at_an_intermediate_nugget():
     assert g == ref_g and np.array_equal(low, ref_low)
 
 
+def test_mirrored_dpotri_inverse_matches_inv_at_an_escalated_nugget():
+    # the likelihood gradient's A^-1: dpotri overwrites the factor's lower
+    # triangle, the upper stays as `clean` zeroed it, and adding the
+    # transpose gives A^-1 with only its diagonal doubled
+    n = 30
+    X = np.random.default_rng(23).random((n, 2))
+    corr = gp._corr(X, X, np.full(2, 0.5))
+    corr -= (np.linalg.eigvalsh(corr)[0] + 5e-6) * np.eye(n)  # smallest eigenvalue -5e-6
+    low, g = gp._factor_with_escalation(corr)
+    assert g == pytest.approx(1e-5, rel=1e-12)
+    inv, info = dpotri(low, lower=1, overwrite_c=1)
+    assert info == 0 and not np.triu(inv, 1).any()
+    mirrored = inv + inv.T
+    np.testing.assert_array_equal(np.diag(mirrored), 2.0 * np.diag(inv))
+    a = corr + g * np.eye(n)
+    ref = np.linalg.inv(a)
+    tol = np.linalg.cond(a) * np.finfo(float).eps * np.abs(ref).max()
+    off = ~np.eye(n, dtype=bool)
+    assert np.abs(mirrored - ref)[off].max() <= tol
+    assert np.abs(np.diag(inv) - np.diag(ref)).max() <= tol
+
+
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_factorization_is_bit_equal_to_cho_factor(n):
     rng = np.random.default_rng([20, n])
@@ -405,7 +438,11 @@ def test_likelihood_is_bit_equal_to_cho_solve_form(n):
         nll, grad = gp._nll_and_grad(theta, X, yc)
         ref_nll, ref_grad = _scipy_nll_and_grad(theta, X, yc)
         assert nll == ref_nll
-        assert np.array_equal(grad, ref_grad)
+        # the gradient takes A^-1 from dpotri, so its bits differ from the
+        # cho_solve form's; it must be as close to the loop as that form is
+        loop = _loop_gradient(theta, X, yc)
+        ref_err = np.abs(ref_grad - loop).max()
+        assert np.abs(grad - loop).max() <= max(2.0 * ref_err, 1e-12 * np.abs(loop).max())
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)

@@ -366,6 +366,10 @@ def test_walk_batch_validation():
         vorwalk(design, origins, bad, Metric.L2)
     with pytest.raises(ValueError, match="unit cube"):
         vorwalk(design * 3.0, origins, directions, Metric.L2)
+    with pytest.raises(ValueError, match="unit cube"):
+        bad = design.copy()
+        bad[4, 1] = np.nan
+        vorwalk(bad, origins, directions, Metric.L2)
     for empty in (design[:0], design[:, :0]):
         with pytest.raises(ValueError, match="P >= 1"):
             vorwalk(empty, origins, directions, Metric.L2)
