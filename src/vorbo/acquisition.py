@@ -63,7 +63,7 @@ def ei_values(means: np.ndarray, sds: np.ndarray, y_min: float) -> np.ndarray:
 
 def ei(model: gp.GpModel, queries: np.ndarray, y_min: float) -> np.ndarray:
     """Expected improvement below `y_min` at each query row."""
-    mean, sd = gp.predict(model, np.atleast_2d(np.asarray(queries, dtype=float)))
+    mean, sd = gp.predict(model, queries)
     return ei_values(mean, sd, y_min)
 
 

@@ -32,7 +32,6 @@ class TestProblem:
     name: str
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    known_best: float | None
     shift: np.ndarray | None
 
 
@@ -106,4 +105,4 @@ def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
             u = np.mod(u - shift + 0.5, 1.0)
         return func(lo + (hi - lo) * u)
 
-    return TestProblem(name=name, dim=dim, evaluate=evaluate, known_best=0.0, shift=shift)
+    return TestProblem(name=name, dim=dim, evaluate=evaluate, shift=shift)

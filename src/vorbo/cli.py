@@ -118,6 +118,8 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
     for flag, values in counts.items():
         if min(values, default=0) < 1:
             raise ValueError(f"{flag} takes integers >= 1, got {values}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     for flag, names in (("--strategies", strategies), ("--metrics", metrics)):
         if not names:
             raise ValueError(f"{flag} is empty")
@@ -162,8 +164,9 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
 
 
 def cmd_candidates(args: argparse.Namespace) -> int:
-    if args.iteration < 0:
-        raise ValueError(f"--iteration must be >= 0, got {args.iteration}")
+    for flag, value in (("--seed", args.seed), ("--iteration", args.iteration)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.design is not None:

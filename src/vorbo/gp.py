@@ -254,10 +254,14 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
 def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
     """Correlation rows, w = chol^-1 rho', and the predictive mean and sd.
 
-    The queries are checked here, since LAPACK is called unchecked: finite
-    queries give finite correlations, and `build` checked the data behind
-    the Cholesky factor.
+    The queries are checked here, for `predict` and `predict_grad` alike,
+    since LAPACK is called unchecked: P-column finite queries give finite
+    correlations, and `build` checked the data behind the Cholesky factor.
     """
+    if queries.shape[1] != model.design.shape[1]:
+        raise ValueError(
+            f"queries must have {model.design.shape[1]} columns, got {queries.shape[1]}"
+        )
     if not np.isfinite(queries).all():
         raise ValueError("queries must not contain infs or NaNs")
     rho = _corr(queries, model.design, model.hyper.lengthscales)
@@ -272,14 +276,7 @@ def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and latent standard deviation at each query row."""
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    if queries.shape[1] != model.design.shape[1]:
-        raise ValueError(
-            f"queries must have {model.design.shape[1]} columns, got {queries.shape[1]}"
-        )
-    _, _, mean, sd = _moments(model, queries)
+    _, _, mean, sd = _moments(model, np.atleast_2d(np.asarray(queries, dtype=float)))
     return mean, sd
 
 

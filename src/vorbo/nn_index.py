@@ -10,8 +10,6 @@ equidistant points is arbitrary, so it would need a tie re-check on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -22,44 +20,16 @@ from .metrics import Metric
 _CHUNK_ELEMS = 2**21
 
 
-@dataclass
-class NnIndex:
-    """Nearest-neighbour index over a fixed set of points under one metric."""
+def nearest_batch(points: np.ndarray, queries: np.ndarray, metric: Metric) -> np.ndarray:
+    """Index of the nearest of `points` (N x P, N >= 1) for each query row.
 
-    points: np.ndarray
-    metric: Metric
-
-
-def build(points: np.ndarray, metric: Metric) -> NnIndex:
-    """Build an index over `points` (an N x P array, N >= 1)."""
-    points = np.ascontiguousarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError(f"points must be a non-empty 2-D array, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
-    return NnIndex(points=points, metric=metric)
-
-
-def nearest_batch(index: NnIndex, queries: np.ndarray) -> np.ndarray:
-    """Index of the nearest point for each query row (ties -> smallest index).
-
-    Parameters
-    ----------
-    queries : (M, P) array
-        Query points; need not lie inside the unit cube.
-
-    Returns
-    -------
-    (M,) integer array of indices into ``index.points``.
+    Ties go to the smallest index.  The M x P `queries` need not lie inside
+    the unit cube; the result is an (M,) integer array of indices into
+    `points`.
     """
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != index.points.shape[1]:
-        raise ValueError(
-            f"queries must have shape (M, {index.points.shape[1]}), got {queries.shape}"
-        )
-    chunk = max(1, _CHUNK_ELEMS // index.points.shape[0])
+    chunk = max(1, _CHUNK_ELEMS // points.shape[0])
     out = np.empty(queries.shape[0], dtype=np.intp)
     for lo in range(0, queries.shape[0], chunk):
-        d = cdist(queries[lo : lo + chunk], index.points, "minkowski", p=index.metric.p)
+        d = cdist(queries[lo : lo + chunk], points, "minkowski", p=metric.p)
         out[lo : lo + chunk] = np.argmin(d, axis=1)
     return out

@@ -15,10 +15,10 @@ design point under the metrics used here, so "a + t*u is still in the cell"
 is monotone in t.  The walk finds the crossing by blocker-shooting: a walk
 at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K ([1 -
 2^-K, 1] at t = 1, where it starts), and each round probes its lower end.
-If the probe's nearest design point x_j (ties to the smaller index, as in
-`nn_index`) is x_n, that end is certified; otherwise t jumps to the exact
-crossing of the bisector of x_n and x_j with the ray (closed form under
-every metric).  Each round costs one nearest-neighbour query, batched over
+If the probe's nearest design point x_j (ties to the smaller index) is
+x_n, that end is certified; otherwise t jumps to the exact crossing of the
+bisector of x_n and x_j with the ray (closed form under every metric).
+Each round costs one owner query (`nn_index.nearest_batch`), batched over
 the live walks, and a walk typically needs two or three.  Probes are
 evaluated where they land, outside the unit cube included --
 nearest-neighbour identity is well defined on all of R^P -- so the walk
@@ -133,13 +133,13 @@ def _crossing(
 
     By the triangle inequality g(t) = d(a + t*u, x) - d(a + t*u, a) is
     non-increasing in t under every norm.  Ties belong to the smaller index
-    (as in `nn_index`), so the walk leaves at the largest t with g(t) > 0
-    where `strict` (x has the smaller index) and g(t) >= 0 elsewhere; the
-    two differ where g stays 0 over an interval, as under L-inf when x and
-    a share the coordinate u is longest in, and under L1 when the
-    coordinates u points toward x in hold half of |x - a|_1.  The crossing
-    is in closed form under every metric; infinite means the walk never
-    leaves.  Under L1 it is 1.0 wherever the distances at t = 1 keep a.
+    (as in `nn_index.nearest_batch`), so the walk leaves at the largest t
+    with g(t) > 0 where `strict` (x has the smaller index) and g(t) >= 0
+    elsewhere; the two differ where g stays 0 over an interval, as under
+    L-inf when x and a share the coordinate u is longest in, and under L1
+    when the coordinates u points toward x in hold half of |x - a|_1.  The
+    crossing is in closed form under every metric; infinite means the walk
+    never leaves.  Under L1 it is 1.0 wherever the distances at t = 1 keep a.
     """
     w = blockers - anchors
     if metric is Metric.L2:
@@ -232,7 +232,6 @@ def vorwalk(
     if not (np.sqrt((directions * directions).sum(axis=1)) > 0.0).all():
         raise ValueError("every direction must have positive norm")
 
-    index = nn_index.build(design, metric)
     anchors = design[origins]
     width = 0.5**BISECTION_ITERS
     t = np.ones(len(origins))
@@ -244,7 +243,8 @@ def vorwalk(
     live = np.arange(len(origins))
     while live.size:
         t_lo, _ = _bracket(t[live], width)
-        owner = nn_index.nearest_batch(index, anchors[live] + t_lo[:, None] * directions[live])
+        probes = anchors[live] + t_lo[:, None] * directions[live]
+        owner = nn_index.nearest_batch(design, probes, metric)
         held = owner == origins[live]
         certified[live[held]] = True
         live, owner = live[~held], owner[~held]
@@ -270,7 +270,7 @@ def vorwalk(
         beaten = d_blocker < d_origin - _PAIR_MARGIN * dim * d_origin
     if not beaten.all():
         rest = up[~beaten]
-        certified[rest] = nn_index.nearest_batch(index, probes[~beaten]) != origins[rest]
+        certified[rest] = nn_index.nearest_batch(design, probes[~beaten], metric) != origins[rest]
 
     # the fallback: bisect t in [0, 1] on the owner predicate
     redo = np.flatnonzero(~certified)
@@ -279,7 +279,7 @@ def vorwalk(
         for _ in range(BISECTION_ITERS):
             mid = 0.5 * (t_lo[redo] + t_hi[redo])
             probes = anchors[redo] + mid[:, None] * directions[redo]
-            ok = nn_index.nearest_batch(index, probes) == origins[redo]
+            ok = nn_index.nearest_batch(design, probes, metric) == origins[redo]
             t_lo[redo[ok]], t_hi[redo[~ok]] = mid[ok], mid[~ok]
 
     mid = 0.5 * (t_lo + t_hi)
@@ -338,7 +338,7 @@ def _walk_batch(
     if strategy == "proj":
         # one walk from each precandidate's nearest design point toward it
         pre = lhs(count, dim, rng)
-        origins = nn_index.nearest_batch(nn_index.build(design, metric), pre)
+        origins = nn_index.nearest_batch(design, pre, metric)
         d = pre - design[origins]
         norms = np.sqrt((d * d).sum(axis=1))
         for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
@@ -430,13 +430,12 @@ def boundary_proportion(
     metric: Metric,
     rng: np.random.Generator,
 ) -> float:
-    """Fraction of raw walks flagged as wall hits.
+    """Fraction of walks flagged as wall hits.
 
-    Runs `count` walks with unbiased origins (uniform over all design points
-    for "unif"/"rect"; precandidate assignment for "proj") and no halfway
-    pull-back, and reports the mean of the `boundary_hit` flags: the
-    fraction of walks whose step ran out before the origin's cell did.
+    Runs `count` walks of `walk_sample` with unbiased origins (uniform over
+    all design points for "unif"/"rect"; precandidate assignment for "proj")
+    and reports the mean of their `boundary_hit` flags: the fraction of walks
+    whose step ran out before the origin's cell did.  The flags are those of
+    the walks before the halfway pull-back, which moves only the points.
     """
-    design = _as_design(design)
-    origins, directions, rows = _walk_batch(design, count, strategy, metric, None, rng)
-    return float(vorwalk(design, origins, directions, metric).boundary_hit[rows].mean())
+    return float(walk_sample(design, count, strategy, metric, None, rng).boundary_hit.mean())

@@ -59,6 +59,26 @@ def test_run_rejects_budget_at_initial_size(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        _run_args("x.csv", problem="levy"),
+        _run_args("x.csv"),
+        ["boundary-study", "--out", "x.csv"],
+        ["candidates", "--dim", "2", "--out", "x.csv"],
+    ],
+    ids=["run-levy", "run-ackley", "boundary-study", "candidates"],
+)
+def test_negative_seed_is_rejected_by_name(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "-1"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "--seed" in error and "got -1" in error
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     out = tmp_path / "traj.csv"
     cfg = tmp_path / "run.cfg"

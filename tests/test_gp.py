@@ -191,6 +191,17 @@ def test_predictive_variance_nonnegative_and_deterministic():
     np.testing.assert_array_equal(s1, s2)
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_predict_grad_rejects_a_query_of_the_wrong_length(width):
+    # a length-1 query would otherwise broadcast against the 3 lengthscales
+    X, y = _fit_data(7, dim=3)
+    model = gp.build(X, y, np.full(3, 0.5))
+    with pytest.raises(ValueError, match="queries must have 3 columns"):
+        gp.predict_grad(model, np.full(width, 0.3))
+    with pytest.raises(ValueError, match="queries must have 3 columns"):
+        gp.predict(model, np.full(width, 0.3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_queries_are_rejected(bad):
     # LAPACK is called without finiteness checks, so the moments check once

@@ -24,8 +24,7 @@ def test_random_queries_match_reference(metric):
     for n, p in [(2, 1), (10, 2), (50, 7), (200, 3)]:
         pts = rng.random((n, p))
         queries = rng.random((100, p)) * 1.4 - 0.2  # include out-of-cube queries
-        idx = nn_index.build(pts, metric)
-        got = nn_index.nearest_batch(idx, queries)
+        got = nn_index.nearest_batch(pts, queries, metric)
         want = [_reference_nearest(pts, q, metric) for q in queries]
         np.testing.assert_array_equal(got, want)
 
@@ -40,16 +39,14 @@ def test_exact_ties_resolve_to_smallest_index(metric):
     j = rng.integers(0, 40, size=300)
     keep = i != j
     mids = 0.5 * (pts[i[keep]] + pts[j[keep]])
-    idx = nn_index.build(pts, metric)
-    got = nn_index.nearest_batch(idx, mids)
+    got = nn_index.nearest_batch(pts, mids, metric)
     want = [_reference_nearest(pts, q, metric) for q in mids]
     np.testing.assert_array_equal(got, want)
 
 
 def test_duplicate_points_tie():
     pts = np.array([[0.4, 0.4], [0.2, 0.2], [0.2, 0.2]])
-    idx = nn_index.build(pts, Metric.L2)
-    got = nn_index.nearest_batch(idx, np.array([[0.19, 0.21], [0.41, 0.4]]))
+    got = nn_index.nearest_batch(pts, np.array([[0.19, 0.21], [0.41, 0.4]]), Metric.L2)
     np.testing.assert_array_equal(got, [1, 0])
 
 
@@ -57,29 +54,26 @@ def test_queries_at_design_points_return_identity():
     rng = np.random.default_rng(1)
     pts = rng.random((30, 5))
     for metric in Metric:
-        idx = nn_index.build(pts, metric)
-        np.testing.assert_array_equal(nn_index.nearest_batch(idx, pts), np.arange(30))
+        np.testing.assert_array_equal(nn_index.nearest_batch(pts, pts, metric), np.arange(30))
 
 
 def test_single_point_design():
-    idx = nn_index.build(np.array([[0.5, 0.5]]), Metric.LINF)
-    got = nn_index.nearest_batch(idx, np.array([[0.0, 0.0], [0.9, 0.1]]))
+    queries = np.array([[0.0, 0.0], [0.9, 0.1]])
+    got = nn_index.nearest_batch(np.array([[0.5, 0.5]]), queries, Metric.LINF)
     np.testing.assert_array_equal(got, [0, 0])
 
 
 def test_empty_query_batch():
-    idx = nn_index.build(np.random.default_rng(0).random((4, 3)), Metric.L1)
-    assert nn_index.nearest_batch(idx, np.empty((0, 3))).shape == (0,)
+    pts = np.random.default_rng(0).random((4, 3))
+    assert nn_index.nearest_batch(pts, np.empty((0, 3)), Metric.L1).shape == (0,)
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError, match="non-empty 2-D"):
-        nn_index.build(np.empty((0, 2)), Metric.L2)
-    with pytest.raises(ValueError, match="finite"):
-        nn_index.build(np.array([[np.nan, 0.0]]), Metric.L2)
-    idx = nn_index.build(np.random.default_rng(0).random((5, 3)), Metric.L2)
-    with pytest.raises(ValueError, match="queries must have shape"):
-        nn_index.nearest_batch(idx, np.zeros((4, 2)))
+    # queries of the wrong width are refused by the scan itself; the points
+    # are a design `vorcands` has already checked
+    pts = np.random.default_rng(0).random((5, 3))
+    with pytest.raises(ValueError, match="same number of columns"):
+        nn_index.nearest_batch(pts, np.zeros((4, 2)), Metric.L2)
 
 
 def test_brute_fallback_chunks_agree(monkeypatch):
@@ -90,7 +84,6 @@ def test_brute_fallback_chunks_agree(monkeypatch):
     i = rng.integers(0, 25, size=60)
     j = (i + 1 + rng.integers(0, 24, size=60)) % 25
     mids = 0.5 * (pts[i] + pts[j])
-    idx = nn_index.build(pts, Metric.LINF)
-    got = nn_index.nearest_batch(idx, mids)
+    got = nn_index.nearest_batch(pts, mids, Metric.LINF)
     want = [_reference_nearest(pts, q, Metric.LINF) for q in mids]
     np.testing.assert_array_equal(got, want)

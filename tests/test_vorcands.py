@@ -145,9 +145,9 @@ def nn_queries(monkeypatch):
     """Every batched nearest-neighbour query vorwalk makes, in order."""
     queries = []
 
-    def recording(index, q):
+    def recording(points, q, metric):
         queries.append(np.array(q))
-        return real_nearest(index, q)
+        return real_nearest(points, q, metric)
 
     monkeypatch.setattr(vorcands.nn_index, "nearest_batch", recording)
     return queries
@@ -158,9 +158,9 @@ def nn_rows(monkeypatch):
     """Rows of every batched nearest-neighbour query vorwalk makes, in order."""
     rows = []
 
-    def counting(index, queries):
+    def counting(points, queries, metric):
         rows.append(len(queries))
-        return real_nearest(index, queries)
+        return real_nearest(points, queries, metric)
 
     monkeypatch.setattr(vorcands.nn_index, "nearest_batch", counting)
     return rows
@@ -237,12 +237,11 @@ def test_forced_fallback_matches_bisection_bit_for_bit(metric, scale, nn_rows, m
     origins, directions = _random_batch(design, 64, rng)
     cs = vorwalk(design, origins, directions, metric)
 
-    index = nn_index.build(design, metric)
     anchors = design[origins]
     t_lo, t_hi = np.zeros(64), np.ones(64)
     for _ in range(BISECTION_ITERS):
         mid = 0.5 * (t_lo + t_hi)
-        ok = real_nearest(index, anchors + mid[:, None] * directions) == origins
+        ok = real_nearest(design, anchors + mid[:, None] * directions, metric) == origins
         t_lo[ok] = mid[ok]
         t_hi[~ok] = mid[~ok]
     points = np.clip(anchors + (0.5 * (t_lo + t_hi))[:, None] * directions, 0.0, 1.0)
@@ -287,7 +286,7 @@ def test_pair_check_agrees_with_the_query(metric, dim):
     assert not cs.uncertified.any()
     assert (~cs.boundary_hit).sum() > 50
     upper_ends = _upper_ends(design, cs)
-    owners = real_nearest(nn_index.build(design, metric), upper_ends)
+    owners = real_nearest(design, upper_ends, metric)
     assert (owners != cs.origin[~cs.boundary_hit]).all()
     if metric is Metric.LINF:  # the design holds the ties the pair rule settles
         d = distance(metric, design[None, :, :], upper_ends[:, None, :])
@@ -415,7 +414,7 @@ def test_l1_crossing_matches_bisection(dim, strategy):
     design = rng.random((40, dim))
     origins, directions, _ = vorcands._walk_batch(design, 400, strategy, Metric.L1, None, rng)
     anchors = design[origins]
-    owners = real_nearest(nn_index.build(design, Metric.L1), anchors + directions)
+    owners = real_nearest(design, anchors + directions, Metric.L1)
     met = owners != origins
     ahead = anchors + rng.random((len(origins), 1)) * directions
     ahead += 0.05 * rng.standard_normal(ahead.shape)
@@ -539,6 +538,14 @@ def test_rect_batch_walks_each_distinct_walk_once(metric, monkeypatch):
     for field in ("points", "origin", "t_lower", "directions", "boundary_hit", "uncertified"):
         assert getattr(cs, field).tobytes() == getattr(full, field).tobytes()
     assert boundary_proportion(design, 2500, "rect", metric, np.random.default_rng(203)) == prop
+    # unif and proj batches repeat no walk: the proportion is the batch's own
+    for strategy in ("unif", "proj"):
+        rng = np.random.default_rng(204)
+        origins, directions, _ = vorcands._walk_batch(design, 2500, strategy, metric, None, rng)
+        prop = vorwalk(design, origins, directions, metric).boundary_hit.mean()
+        assert 0.0 < prop < 1.0
+        rng = np.random.default_rng(204)
+        assert boundary_proportion(design, 2500, strategy, metric, rng) == prop
 
 
 @pytest.mark.parametrize("metric", list(Metric))
