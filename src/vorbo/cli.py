@@ -7,8 +7,10 @@ boundary-study  wall-hit proportions over the (N, P, strategy, metric) grid
 candidates      design + candidate cloud dump for plotting
 problems        list built-in test problems
 
-Every file-writing subcommand also writes a `<out>.meta.json` sidecar with
-the full effective configuration, seeds, and package version (never
+Each subcommand declares its flags once, in one table, and an error names
+the flag and the value before any work (`--reps must be >= 1, got 0`).
+Every file-writing subcommand also writes a `<out>.meta.json` sidecar whose
+`settings` are its table's values, with the package version (never
 timestamps, so identical invocations produce identical files).  For `run`,
 values may come from a flat `key = value` config file via --config, keyed by
 flag name with underscores (`n_init = 12`, `timing = false` for --no-timing).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,8 +36,44 @@ from .sampling import lhs
 from .vorcands import STRATEGIES, boundary_proportion
 
 
-def _write_sidecar(path: str, payload: dict) -> None:
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+class _Parser(argparse.ArgumentParser):
+    """An error about a flag's value leads with the flag, as the checks after
+    parsing word theirs: "--sizes must be >= 1, got 0"."""
+
+    def error(self, message: str):
+        super().error(re.sub(r"^argument (-\S+): ", r"\1 ", message))
+
+
+def _ints(floor: int, many: bool = False):
+    """An argparse type: an integer >= `floor`, or with `many` a non-empty
+    comma-separated list of them."""
+
+    def parse(text: str) -> int | list[int]:
+        values = [int(tok) for tok in text.split(",") if tok.strip()] if many else [int(text)]
+        if min(values, default=floor - 1) < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {text}")
+        return values if many else values[0]
+
+    parse.__name__ = "int list" if many else "int"  # "invalid int value: 'x'"
+    return parse
+
+
+def _names(valid: tuple[str, ...]):
+    """An argparse type: a non-empty comma-separated list of names from `valid`."""
+
+    def parse(text: str) -> list[str]:
+        names = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not names or not set(names) <= set(valid):
+            raise argparse.ArgumentTypeError(f"takes names from {', '.join(valid)}, got {text!r}")
+        return names
+
+    return parse
+
+
+def _write_sidecar(args: argparse.Namespace, **extra) -> None:
+    settings = {name: getattr(args, name) for name in args.settings}
+    payload = {"command": args.subcommand, "version": __version__, "settings": settings, **extra}
+    with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -85,19 +124,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _, failures = run_suite(config)
 
-    meta = {
-        "command": "run",
-        "version": __version__,
-        "settings": settings,
+    extra = {
         "seeds": list(seeds),
         "failures": [{"method": m, "seed": s, "error": e} for m, s, e in failures],
     }
     if config.problem == "ackley":
-        meta["shifts"] = {
+        extra["shifts"] = {
             str(s): list(make_problem("ackley", config.dim, np.random.default_rng([s])).shift)
             for s in seeds
         }
-    _write_sidecar(config.out, meta)
+    _write_sidecar(args, **extra)
     if failures:
         for method, seed, error in failures:
             print(f"cell ({method}, seed {seed}) failed: {error}", file=sys.stderr)
@@ -105,82 +141,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def cmd_boundary_study(args: argparse.Namespace) -> int:
-    sizes = _int_list(args.sizes)
-    dims = _int_list(args.dims)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    counts = {"--reps": [args.reps], "--count": [args.count], "--sizes": sizes, "--dims": dims}
-    for flag, values in counts.items():
-        if min(values, default=0) < 1:
-            raise ValueError(f"{flag} takes integers >= 1, got {values}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    for flag, names in (("--strategies", strategies), ("--metrics", metrics)):
-        if not names:
-            raise ValueError(f"{flag} is empty")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
-    metric_objs = {m: Metric.from_string(m) for m in metrics}
-
     lines = ["strategy,metric,N,P,rep,prop_boundary"]
     for rep in range(args.reps):
-        for dim in dims:
-            for n in sizes:
+        for dim in args.dims:
+            for n in args.sizes:
                 # one design per (rep, P, N), shared by every strategy/metric
                 design = np.random.default_rng([args.seed, rep, dim, n]).random((n, dim))
-                for strat_id, strat in enumerate(strategies):
-                    for name in metrics:
+                for strat_id, strat in enumerate(args.strategies):
+                    for name in args.metrics:
                         # identically keyed stream per strategy: the same
                         # origins/directions are walked under every metric
                         rng = np.random.default_rng([args.seed, rep, dim, n, strat_id])
-                        prop = boundary_proportion(
-                            design, args.count, strat, metric_objs[name], rng
-                        )
+                        prop = boundary_proportion(design, args.count, strat, Metric(name), rng)
                         lines.append(f"{strat},{name},{n},{dim},{rep},{_fmt(prop)}")
     _write_lines(args.out, lines)
-    _write_sidecar(
-        args.out,
-        {
-            "command": "boundary-study",
-            "version": __version__,
-            "settings": {
-                "count": args.count,
-                "dims": dims,
-                "metrics": metrics,
-                "reps": args.reps,
-                "seed": args.seed,
-                "sizes": sizes,
-                "strategies": strategies,
-            },
-        },
-    )
+    _write_sidecar(args)
     return 0
 
 
 def cmd_candidates(args: argparse.Namespace) -> int:
-    for flag, value in (("--seed", args.seed), ("--iteration", args.iteration)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
-    if args.design is not None:
+    if args.design_file is not None:
         try:
-            design = np.loadtxt(args.design, delimiter=",", ndmin=2)
+            design = np.loadtxt(args.design_file, delimiter=",", ndmin=2)
         except OSError as exc:
-            print(f"cannot read design file {args.design}: {exc}", file=sys.stderr)
+            print(f"cannot read design file {args.design_file}: {exc}", file=sys.stderr)
             return 1
         # every scheme writes the design back out, so every scheme checks it
         # (a NaN fails both comparisons)
         outside = np.flatnonzero(~((design >= 0.0) & (design <= 1.0)).all(axis=1))
         if outside.size:
             raise ValueError(
-                f"design file {args.design}: row {outside[0]} is not a point of the"
+                f"design file {args.design_file}: row {outside[0]} is not a point of the"
                 " unit cube [0, 1]^P (rows count from 0)"
             )
         # a repeated row's later copy owns no cell, so every walk from it fails
@@ -189,42 +181,28 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         if repeats.size:
             j = int(repeats[0])
             raise ValueError(
-                f"design file {args.design}: rows {first[rows[j]]} and {j} are identical"
+                f"design file {args.design_file}: rows {first[rows[j]]} and {j} are identical"
                 " (rows count from 0)"
             )
-        dim = design.shape[1]
+        args.n, args.dim = design.shape  # the sidecar records the design read
+    elif args.dim is None:
+        raise ValueError("either --design or --dim is required")
     else:
-        if args.dim is None:
-            raise ValueError("either --design or --dim is required")
-        dim = args.dim
-        design = lhs(args.n, dim, np.random.default_rng([args.seed]))
+        design = lhs(args.n, args.dim, np.random.default_rng([args.seed]))
+    # checked for every scheme, though only vor reads it
+    if not 0 <= args.incumbent < args.n:
+        raise ValueError(f"--incumbent must be in [0, {args.n}), got {args.incumbent}")
 
     rng = np.random.default_rng([args.seed, args.iteration])
     points = candidate_points(args.scheme, design, args.count, args.iteration, args.incumbent, rng)
 
-    lines = ["tag," + ",".join(f"x{p}" for p in range(dim))]
+    lines = ["tag," + ",".join(f"x{p}" for p in range(args.dim))]
     for row in design:
         lines.append("design," + ",".join(_fmt(v) for v in row))
     for row in points:
         lines.append(f"{args.scheme}," + ",".join(_fmt(v) for v in row))
     _write_lines(args.out, lines)
-    _write_sidecar(
-        args.out,
-        {
-            "command": "candidates",
-            "version": __version__,
-            "settings": {
-                "count": args.count,
-                "design_file": args.design,
-                "dim": dim,
-                "incumbent": args.incumbent,
-                "iteration": args.iteration,
-                "n": design.shape[0],
-                "scheme": args.scheme,
-                "seed": args.seed,
-            },
-        },
-    )
+    _write_sidecar(args)
     return 0
 
 
@@ -233,12 +211,12 @@ def cmd_problems(_: argparse.Namespace) -> int:
     for name in PROBLEM_NAMES:
         lo, hi = NATIVE_DOMAINS[name]
         dims = "2" if name == "sinesum2d" else "any"
-        print(f"{name:<12} [{lo:g}, {hi:g}]^P{'':<6} {dims:<8} 0.0")
+        print(f"{name:<12} {f'[{lo:g}, {hi:g}]^P':<22} {dims:<8} 0.0")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vorbo",
         description="Bayesian optimization with Voronoi-boundary candidates.",
     )
@@ -246,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a (methods x seeds) experiment grid")
     run.add_argument("--config", help="flat key=value config file; flags override")
-    # The one table of `run` settings.  A flag's dest is its config-file key
-    # and its name in the sidecar; a default is read from ExperimentConfig,
-    # whose class attributes hold its fields' defaults.
+    # One table of settings per subcommand.  A flag's type parses and checks
+    # it, and its dest is its name in the sidecar and its `run` config-file
+    # key; a `run` default is read from ExperimentConfig's class attributes.
     flag, cfg = run.add_argument, ExperimentConfig
     settings = (
         flag("--problem", choices=PROBLEM_NAMES),
-        flag("--dim", type=int),
+        flag("--dim", type=_ints(1)),
         flag("--budget", type=int, help="total evaluations including the initial design"),
         flag(
             "--method",
@@ -261,28 +239,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         flag(
             "--reps",
-            type=int,
+            type=_ints(1),
             default=len(cfg.seeds),
             help="number of replicate seeds (default %(default)s)",
         ),
         flag(
             "--seed",
-            type=int,
+            type=_ints(0),
             default=cfg.seeds[0],
             help="base seed; replicates use seed..seed+reps-1",
         ),
-        flag("--n-init", type=int, default=cfg.n_init, help="initial design size (default 3P)"),
+        flag("--n-init", type=_ints(2), default=cfg.n_init, help="initial design size (default 3P)"),
         flag(
             "--candidates",
-            type=int,
+            type=_ints(1),
             default=cfg.n_candidates,
             help="candidate count C (default min(5000, 100P))",
         ),
-        flag("--refit-until", type=int, default=cfg.refit_until),
-        flag("--refit-every", type=int, default=cfg.refit_every),
+        flag("--refit-until", type=_ints(0), default=cfg.refit_until),
+        flag("--refit-every", type=_ints(1), default=cfg.refit_every),
         flag(
             "--jobs",
-            type=int,
+            type=_ints(1),
             default=cfg.jobs,
             help="parallel worker processes (default %(default)s)",
         ),
@@ -305,27 +283,33 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run, settings={a.dest: a for a in settings})
 
     study = sub.add_parser("boundary-study", help="wall-hit proportion grid")
-    study.add_argument("--reps", type=int, default=10)
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--count", type=int, default=1000, help="walks per cell")
-    study.add_argument("--sizes", default="10,100,1000", help="design sizes N")
-    study.add_argument("--dims", default="2,10,100", help="dimensions P")
-    study.add_argument("--strategies", default="unif,rect,proj")
-    study.add_argument("--metrics", default="l1,l2,linf")
     study.add_argument("--out", required=True)
-    study.set_defaults(func=cmd_boundary_study)
+    flag = study.add_argument
+    settings = (
+        flag("--reps", type=_ints(1), default=10),
+        flag("--seed", type=_ints(0), default=0),
+        flag("--count", type=_ints(1), default=1000, help="walks per cell"),
+        flag("--sizes", type=_ints(1, many=True), default="10,100,1000", help="design sizes N"),
+        flag("--dims", type=_ints(1, many=True), default="2,10,100", help="dimensions P"),
+        flag("--strategies", type=_names(STRATEGIES), default="unif,rect,proj"),
+        flag("--metrics", type=_names(tuple(m.value for m in Metric)), default="l1,l2,linf"),
+    )
+    study.set_defaults(func=cmd_boundary_study, settings={a.dest: a for a in settings})
 
     cand = sub.add_parser("candidates", help="dump design + candidate cloud")
-    cand.add_argument("--dim", type=int)
-    cand.add_argument("--n", type=int, default=10, help="generated design size")
-    cand.add_argument("--design", help="CSV file of design rows (overrides --dim/--n)")
-    cand.add_argument("--scheme", choices=("vor", "lhs", "sobol"), default="vor")
-    cand.add_argument("--count", type=int, default=1000)
-    cand.add_argument("--seed", type=int, default=0)
-    cand.add_argument("--iteration", type=int, default=0, help="scheme parity for vor")
-    cand.add_argument("--incumbent", type=int, default=0, help="incumbent index for vor")
     cand.add_argument("--out", required=True)
-    cand.set_defaults(func=cmd_candidates)
+    flag = cand.add_argument
+    settings = (
+        flag("--dim", type=_ints(1)),
+        flag("--n", type=_ints(1), default=10, help="generated design size"),
+        flag("--design", dest="design_file", help="CSV file of design rows (overrides --dim/--n)"),
+        flag("--scheme", choices=("vor", "lhs", "sobol"), default="vor"),
+        flag("--count", type=_ints(1), default=1000),
+        flag("--seed", type=_ints(0), default=0),
+        flag("--iteration", type=_ints(0), default=0, help="scheme parity for vor"),
+        flag("--incumbent", type=int, default=0, help="incumbent index for vor"),
+    )
+    cand.set_defaults(func=cmd_candidates, settings={a.dest: a for a in settings})
 
     probs = sub.add_parser("problems", help="list built-in problems")
     probs.set_defaults(func=cmd_problems)

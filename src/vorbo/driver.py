@@ -76,7 +76,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0 (--seed), got {min(self.seeds)}")
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.resolved_n_init() < 2:
             raise ValueError(f"n_init must be >= 2 to fit a surrogate, got {self.n_init}")
         if self.resolved_n_candidates() < 1:

@@ -40,6 +40,11 @@ def test_run_end_to_end(tmp_path):
     assert meta["command"] == "run"
     assert meta["settings"]["budget"] == 8
     assert meta["settings"]["method"] == "vor,lhs"
+    assert meta["settings"] == {
+        "problem": "ackley", "dim": 2, "budget": 8, "method": "vor,lhs", "reps": 2,
+        "seed": 0, "n_init": None, "candidates": 50, "refit_until": 200,
+        "refit_every": 25, "jobs": 1, "out": str(out), "include_x": True, "timing": True,
+    }
     assert meta["failures"] == []
     # the sidecar records each seed's hidden optimum location
     for seed in (0, 1):
@@ -76,6 +81,31 @@ def test_negative_seed_is_rejected_by_name(tmp_path, monkeypatch, capsys, args):
     assert exc.value.code == 2
     error = capsys.readouterr().err.splitlines()[-1]
     assert "--seed" in error and "got -1" in error
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value, floor",
+    [
+        ("--reps", "0", 1),
+        ("--reps", "-2", 1),
+        ("--dim", "0", 1),
+        ("--n-init", "1", 2),
+        ("--candidates", "0", 1),
+        ("--refit-until", "-1", 0),
+        ("--refit-every", "0", 1),
+        ("--jobs", "0", 1),
+    ],
+)
+def test_run_rejects_out_of_range_counts_by_name(
+    tmp_path, monkeypatch, capsys, flag, value, floor
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*_run_args("x.csv", problem="levy"), flag, value])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert f"{flag} must be >= {floor}, got {value}" in error
     assert not list(tmp_path.iterdir())
 
 
@@ -238,6 +268,11 @@ def test_boundary_study_grid(tmp_path):
     meta = json.loads((tmp_path / "study.csv.meta.json").read_text())
     assert meta["settings"]["count"] == 50
     assert meta["settings"]["sizes"] == [5]
+    assert meta["command"] == "boundary-study"
+    assert meta["settings"] == {
+        "count": 50, "dims": [2], "metrics": ["l1", "l2", "linf"], "reps": 1, "seed": 0,
+        "sizes": [5], "strategies": ["unif", "rect", "proj"],
+    }
 
 
 def test_boundary_study_deterministic(tmp_path):
@@ -280,6 +315,8 @@ def test_boundary_study_rejects_unknown_metric(tmp_path):
         ("--count", "0"),
         ("--strategies", ","),
         ("--metrics", ""),
+        ("--sizes", "x"),
+        ("--dims", "2,x"),
     ],
 )
 def test_boundary_study_rejects_empty_or_nonpositive_flags(
@@ -293,7 +330,9 @@ def test_boundary_study_rejects_empty_or_nonpositive_flags(
     with pytest.raises(SystemExit) as exc:
         main(["boundary-study", f"{flag}={value}", "--out", str(out)])
     assert exc.value.code == 2
-    assert f"error: {flag} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err
+    assert value in err.splitlines()[-1]
     assert not out.exists()
 
 
@@ -327,6 +366,12 @@ def test_candidates_schemes(tmp_path, scheme):
         [line.split(",")[1:] for line in lines[1:]], dtype=float
     )
     assert ((coords >= 0.0) & (coords <= 1.0)).all()
+    meta = json.loads((tmp_path / f"{scheme}.csv.meta.json").read_text())
+    assert meta["command"] == "candidates"
+    assert meta["settings"] == {
+        "count": 20, "design_file": None, "dim": 2, "incumbent": 0, "iteration": 0,
+        "n": 8, "scheme": scheme, "seed": 0,
+    }
 
 
 def test_candidates_from_design_file(tmp_path):
@@ -348,6 +393,10 @@ def test_candidates_from_design_file(tmp_path):
     meta = json.loads((out.with_name("cands.csv.meta.json")).read_text())
     assert meta["settings"]["design_file"] == str(design_path)
     assert meta["settings"]["dim"] == 2 and meta["settings"]["n"] == 4
+    assert meta["settings"] == {
+        "count": 10, "design_file": str(design_path), "dim": 2, "incumbent": 0,
+        "iteration": 0, "n": 4, "scheme": "vor", "seed": 0,
+    }
 
 
 def test_candidates_unreadable_design_file(tmp_path, capsys):
@@ -389,15 +438,32 @@ def test_candidates_rejects_negative_iteration(tmp_path, capsys, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_candidates_rejects_nonpositive_count_by_name(tmp_path, capsys, scheme, count):
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--dim", "2", "--count", "0"], "--count must be >= 1, got 0"),
+        (["--dim", "2", "--count", "-3"], "--count must be >= 1, got -3"),
+        (["--dim", "2", "--n", "0"], "--n must be >= 1, got 0"),
+        (["--dim", "0"], "--dim must be >= 1, got 0"),
+        (["--dim", "2", "--n", "8", "--incumbent", "8"], "--incumbent must be in [0, 8), got 8"),
+        (["--dim", "2", "--incumbent", "-1"], "--incumbent must be in [0, 10), got -1"),
+        (["--design", "design.csv", "--incumbent", "4"], "--incumbent must be in [0, 4), got 4"),
+    ],
+    ids=["0", "-3", "n-0", "dim-0", "incumbent-8", "incumbent--1", "design-incumbent-4"],
+)
+def test_candidates_rejects_nonpositive_count_by_name(
+    tmp_path, monkeypatch, capsys, scheme, flags, error
+):
+    def walk(*args):
+        raise AssertionError("the scheme ran")
+
+    monkeypatch.setattr("vorbo.cli.candidate_points", walk)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "design.csv").write_text("0.1,0.2\n0.8,0.3\n0.4,0.9\n0.6,0.6\n")
     with pytest.raises(SystemExit) as exc:
-        main([
-            "candidates", "--dim", "2", "--scheme", scheme, "--count", count,
-            "--out", str(tmp_path / "x.csv"),
-        ])
+        main(["candidates", *flags, "--scheme", scheme, "--out", "x.csv"])
     assert exc.value.code == 2
-    assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -432,6 +498,16 @@ def test_problems_listing(capsys):
     for name in ("ackley", "levy", "rosenbrock", "sinesum2d"):
         assert name in text
     assert "[-32.768, 32.768]" in text
+
+
+def test_problems_columns_line_up(capsys):
+    assert main(["problems"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    dims, best = header.index("dims"), header.index("known_best")
+    assert len(rows) == 4
+    for row in rows:
+        assert row[dims - 1] == " " != row[dims]
+        assert row[best - 1] == " " and row[best:] == "0.0"
 
 
 def test_unknown_subcommand():
