@@ -24,6 +24,9 @@ NATIVE_DOMAINS = {
     "sinesum2d": (0.0, 1.0),
 }
 
+#: The dimension of each problem defined at one P only; the others take any P.
+FIXED_DIMS = {"sinesum2d": 2}
+
 
 @dataclass
 class TestProblem:
@@ -77,8 +80,8 @@ def check_problem(name: str, dim: int) -> None:
         raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if name == "sinesum2d" and dim != 2:
-        raise ValueError(f"sinesum2d is a 2-D problem, got dim={dim}")
+    if FIXED_DIMS.get(name, dim) != dim:
+        raise ValueError(f"{name} is a {FIXED_DIMS[name]}-D problem, got dim={dim}")
 
 
 def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
@@ -86,8 +89,8 @@ def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
 
     `rng` is consumed only by Ackley (its optimum location); the other
     problems are fully deterministic and leave the generator untouched.
-    `sinesum2d` is defined only for dim=2.  Evaluate accepts a single point
-    or a batch (leading axes broadcast) of unit-cube coordinates.
+    `FIXED_DIMS` problems take only their own dim.  Evaluate accepts a single
+    point or a batch (leading axes broadcast) of unit-cube coordinates.
     """
     check_problem(name, dim)
     lo, hi = NATIVE_DOMAINS[name]

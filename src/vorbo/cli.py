@@ -7,10 +7,12 @@ boundary-study  wall-hit proportions over the (N, P, strategy, metric) grid
 candidates      design + candidate cloud dump for plotting
 problems        list built-in test problems
 
-Each subcommand declares its flags once, in one table, and an error names
-the flag and the value before any work (`--reps must be >= 1, got 0`).
-Every file-writing subcommand also writes a `<out>.meta.json` sidecar whose
-`settings` are its table's values, with the package version (never
+Each subcommand declares its flags once, in one table.  An input error exits
+2 before any work, as `vorbo <subcommand>: error:` under that subcommand's
+usage; a bad value names its flag (`--reps must be >= 1, got 0`), and only
+an unreadable --design file exits 1.  Every file-writing subcommand also
+writes a `<out>.meta.json` sidecar whose `settings` are its table's values
+(list flags, `run --method` too, as lists) and the package version (never
 timestamps, so identical invocations produce identical files).  For `run`,
 values may come from a flat `key = value` config file via --config, keyed by
 flag name with underscores (`n_init = 12`, `timing = false` for --no-timing).
@@ -25,12 +27,14 @@ import json
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .bench import NATIVE_DOMAINS, PROBLEM_NAMES, make_problem
-from .driver import METHODS, ExperimentConfig, _fmt, _write_lines, candidate_points, run_suite
+from .bench import FIXED_DIMS, NATIVE_DOMAINS, PROBLEM_NAMES
+from .driver import DISCRETE_METHODS, METHODS, ExperimentConfig, seed_instance
+from .driver import _fmt, _write_lines, candidate_points, run_suite
 from .metrics import Metric
 from .sampling import lhs
 from .vorcands import STRATEGIES, boundary_proportion
@@ -116,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ValueError(f"missing required setting: {required}")
     seeds = tuple(range(settings["seed"], settings["seed"] + settings["reps"]))
     config = ExperimentConfig(
-        methods=tuple(m.strip() for m in settings["method"].split(",") if m.strip()),
+        methods=tuple(settings["method"]),
         seeds=seeds,
         n_candidates=settings["candidates"],
         # every other setting has the name of its ExperimentConfig field
@@ -128,11 +132,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seeds": list(seeds),
         "failures": [{"method": m, "seed": s, "error": e} for m, s, e in failures],
     }
-    if config.problem == "ackley":
-        extra["shifts"] = {
-            str(s): list(make_problem("ackley", config.dim, np.random.default_rng([s])).shift)
-            for s in seeds
-        }
+    problems = {s: seed_instance(config, s)[0] for s in seeds}
+    if problems[seeds[0]].shift is not None:
+        extra["shifts"] = {str(s): list(p.shift) for s, p in problems.items()}
     _write_sidecar(args, **extra)
     if failures:
         for method, seed, error in failures:
@@ -163,10 +165,16 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
 def cmd_candidates(args: argparse.Namespace) -> int:
     if args.design_file is not None:
         try:
-            design = np.loadtxt(args.design_file, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file is reported below
+                design = np.loadtxt(args.design_file, delimiter=",", ndmin=2)
         except OSError as exc:
             print(f"cannot read design file {args.design_file}: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:  # a ragged row or a non-number
+            raise ValueError(f"design file {args.design_file}: {exc}") from None
+        if not design.size:
+            raise ValueError(f"design file {args.design_file}: holds no points")
         # every scheme writes the design back out, so every scheme checks it
         # (a NaN fails both comparisons)
         outside = np.flatnonzero(~((design >= 0.0) & (design <= 1.0)).all(axis=1))
@@ -210,7 +218,7 @@ def cmd_problems(_: argparse.Namespace) -> int:
     print(f"{'name':<12} {'native domain':<22} {'dims':<8} known_best")
     for name in PROBLEM_NAMES:
         lo, hi = NATIVE_DOMAINS[name]
-        dims = "2" if name == "sinesum2d" else "any"
+        dims = FIXED_DIMS.get(name, "any")
         print(f"{name:<12} {f'[{lo:g}, {hi:g}]^P':<22} {dims:<8} 0.0")
     return 0
 
@@ -234,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--budget", type=int, help="total evaluations including the initial design"),
         flag(
             "--method",
+            type=_names(METHODS),
             default=",".join(cfg.methods),
             help=f"comma-separated subset of {', '.join(METHODS)}",
         ),
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="zero the timing columns (byte-stable output)",
         ),
     )
-    run.set_defaults(func=cmd_run, settings={a.dest: a for a in settings})
+    run.set_defaults(func=cmd_run, parser=run, settings={a.dest: a for a in settings})
 
     study = sub.add_parser("boundary-study", help="wall-hit proportion grid")
     study.add_argument("--out", required=True)
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--strategies", type=_names(STRATEGIES), default="unif,rect,proj"),
         flag("--metrics", type=_names(tuple(m.value for m in Metric)), default="l1,l2,linf"),
     )
-    study.set_defaults(func=cmd_boundary_study, settings={a.dest: a for a in settings})
+    study.set_defaults(func=cmd_boundary_study, parser=study, settings={a.dest: a for a in settings})
 
     cand = sub.add_parser("candidates", help="dump design + candidate cloud")
     cand.add_argument("--out", required=True)
@@ -303,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--dim", type=_ints(1)),
         flag("--n", type=_ints(1), default=10, help="generated design size"),
         flag("--design", dest="design_file", help="CSV file of design rows (overrides --dim/--n)"),
-        flag("--scheme", choices=("vor", "lhs", "sobol"), default="vor"),
+        flag("--scheme", choices=DISCRETE_METHODS, default="vor"),
         flag("--count", type=_ints(1), default=1000),
         flag("--seed", type=_ints(0), default=0),
         flag("--iteration", type=_ints(0), default=0, help="scheme parity for vor"),
         flag("--incumbent", type=int, default=0, help="incumbent index for vor"),
     )
-    cand.set_defaults(func=cmd_candidates, settings={a.dest: a for a in settings})
+    cand.set_defaults(func=cmd_candidates, parser=cand, settings={a.dest: a for a in settings})
 
     probs = sub.add_parser("problems", help="list built-in problems")
-    probs.set_defaults(func=cmd_problems)
+    probs.set_defaults(func=cmd_problems, parser=probs)
     return parser
 
 
@@ -332,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2 with usage
+        args.parser.error(str(exc))  # exits 2 with the subcommand's usage
         return 2  # unreachable; keeps type checkers honest
 
 

@@ -33,7 +33,8 @@ from .bench import TestProblem, check_problem, make_problem
 from .sampling import lhs, sobol
 from .vorcands import scheme_final
 
-METHODS = ("vor", "lhs", "sobol", "opt")
+DISCRETE_METHODS = ("vor", "lhs", "sobol")  # the methods that score a candidate set
+METHODS = (*DISCRETE_METHODS, "opt")
 
 #: Proposals closer than this (L-inf) to an existing row are perturbed.
 _DUPLICATE_TOL = 1e-12
@@ -60,11 +61,7 @@ class ExperimentConfig:
         return self.n_init if self.n_init is not None else 3 * self.dim
 
     def resolved_n_candidates(self) -> int:
-        return (
-            self.n_candidates
-            if self.n_candidates is not None
-            else min(5000, 100 * self.dim)
-        )
+        return self.n_candidates if self.n_candidates is not None else min(5000, 100 * self.dim)
 
     def validate(self) -> None:
         check_problem(self.problem, self.dim)
@@ -107,12 +104,17 @@ class TrajectoryRecord:
     fit_ms: float
 
 
+def seed_instance(config: ExperimentConfig, seed: int) -> tuple[TestProblem, np.random.Generator]:
+    """The problem instance of `seed`, and the seed's stream after drawing it."""
+    rng = np.random.default_rng([seed])
+    return make_problem(config.problem, config.dim, rng), rng
+
+
 def _shared_start(
     config: ExperimentConfig, seed: int
 ) -> tuple[TestProblem, np.ndarray, np.ndarray]:
     """Problem instance and evaluated initial design, identical across methods."""
-    rng = np.random.default_rng([seed])
-    problem = make_problem(config.problem, config.dim, rng)
+    problem, rng = seed_instance(config, seed)
     design = lhs(config.resolved_n_init(), config.dim, rng)
     y = np.asarray(problem.evaluate(design), dtype=float)
     return problem, design, y
@@ -126,7 +128,7 @@ def candidate_points(
     incumbent: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """`count` candidates of a discrete method ("vor", "lhs" or "sobol")."""
+    """`count` candidates of a method in `DISCRETE_METHODS`."""
     if method == "vor":
         return scheme_final(design, count, iteration, incumbent, rng).points
     if method == "lhs":
@@ -147,11 +149,10 @@ def _propose(
     """One proposal; returns (point, seconds spent generating/searching)."""
     y_min = float(y.min())
     incumbent = int(np.argmin(y))
+    t0 = time.perf_counter()
     if method == "opt":
-        t0 = time.perf_counter()
         res = acquisition.multistart_opt(model, y_min, design[incumbent], rng)
         return res.point, time.perf_counter() - t0
-    t0 = time.perf_counter()
     points = candidate_points(method, design, n_cand, iteration, incumbent, rng)
     gen_seconds = time.perf_counter() - t0
     return acquisition.argmax_discrete(model, points, y_min).point, gen_seconds
@@ -180,29 +181,20 @@ def run_bo(
         refit = i < config.refit_until or (i - config.refit_until) % config.refit_every == 0
         fit_t0 = time.perf_counter()
         try:
-            if refit:
-                model = gp.fit(design, y, lengthscales)
-            else:
-                model = gp.build(design, y, lengthscales)
+            model = (gp.fit if refit else gp.build)(design, y, lengthscales)
             lengthscales = model.hyper.lengthscales
         except gp.SurrogateFitError:
-            # keep the previous lengthscales; if even a plain rebuild fails,
-            # fall back to the stale model and move on
-            try:
-                model = gp.build(design, y, lengthscales)
-            except gp.SurrogateFitError:
-                if model is None:
-                    raise
+            # keep the stale model, or fail with none: a rebuild would redo the
+            # factorization that just failed (fit raises only if its start's does)
+            if model is None:
+                raise
         fit_seconds = time.perf_counter() - fit_t0
 
         x_new, cand_seconds = _propose(method, model, design, y, i, n_cand, rng)
 
         if np.min(np.abs(design - x_new[None, :]).max(axis=1)) <= _DUPLICATE_TOL:
-            x_new = np.clip(
-                x_new + rng.uniform(-_PERTURB_HALFWIDTH, _PERTURB_HALFWIDTH, config.dim),
-                0.0,
-                1.0,
-            )
+            noise = rng.uniform(-_PERTURB_HALFWIDTH, _PERTURB_HALFWIDTH, config.dim)
+            x_new = np.clip(x_new + noise, 0.0, 1.0)
         y_new = float(problem.evaluate(x_new))
         design = np.vstack([design, x_new])
         y = np.append(y, y_new)

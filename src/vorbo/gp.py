@@ -143,6 +143,15 @@ def _factor_with_escalation(corr: np.ndarray) -> tuple[np.ndarray, float]:
         g = min(g * 10.0, NUGGET_MAX)
 
 
+def _profiled(design: np.ndarray, yc: np.ndarray, lengthscales: np.ndarray) -> tuple:
+    """Correlations C, the factor of A = C + g*I, g, alpha = A^-1 yc, yc' alpha, tau_sq."""
+    corr = _corr(design, design, lengthscales)
+    low, g = _factor_with_escalation(corr)
+    alpha = _solved(dpotrs(low, yc, lower=1), "dpotrs")
+    quad = float(yc @ alpha)
+    return corr, low, g, alpha, quad, max(quad / design.shape[0], TAU_SQ_FLOOR)
+
+
 def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     """Assemble a model at fixed lengthscales; tau_sq is profiled from the data."""
     design, y = _check_data(design, y)
@@ -150,9 +159,7 @@ def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpMode
 
     y_mean = float(y.mean())
     yc = y - y_mean
-    low, g = _factor_with_escalation(_corr(design, design, lengthscales))
-    alpha = _solved(dpotrs(low, yc, lower=1), "dpotrs")
-    tau_sq = max(float(yc @ alpha) / y.shape[0], TAU_SQ_FLOOR)
+    _, low, g, alpha, _, tau_sq = _profiled(design, yc, lengthscales)
     hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
     return GpModel(
         design=design,
@@ -187,14 +194,10 @@ def _nll_and_grad(
     """
     n = design.shape[0]
     ls = np.exp(theta)
-    corr = _corr(design, design, ls)
     try:
-        low, _ = _factor_with_escalation(corr)
+        corr, low, _, alpha, quad, tau_sq = _profiled(design, yc, ls)
     except SurrogateFitError:
         return 1e25, np.zeros_like(theta)
-    alpha = _solved(dpotrs(low, yc, lower=1), "dpotrs")
-    quad = float(yc @ alpha)
-    tau_sq = max(quad / n, TAU_SQ_FLOOR)
     logdet = 2.0 * float(np.log(np.diag(low)).sum())
     nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
 

@@ -12,14 +12,6 @@ class Metric(enum.Enum):
     L2 = "l2"
     LINF = "linf"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Metric":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown metric {name!r}; expected one of: {valid}") from None
-
     @property
     def p(self) -> float:
         """Minkowski exponent, usable directly with scipy spatial routines."""

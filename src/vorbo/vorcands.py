@@ -32,16 +32,16 @@ reach past t = 0 or t = 1) reruns the K-round bisection on the owner
 predicate, the single fallback path, and is flagged `uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
-whose full step never leaves its origin's cell is flagged `boundary_hit`:
-the direction scalings of `walk_sample` make such a step leave the cube
-itself, so a flagged candidate is pinned to a cube face by the clamp.
+whose full step never leaves its origin's cell is flagged `boundary_hit`.
+The direction scalings of `walk_sample` make most such steps leave the
+cube, so the clamp pins the candidate to a face; but a unif step under L1
+has length sqrt(P), short of the cube's L1 diameter P, and can end inside.
 `walk_sample` draws a batch of origins and directions for one strategy
 (unif, rect or proj) in one place, walks it (a rect walk that the batch
-repeats, only once), and pulls every candidate that touches a face --
-flagged or merely clamped -- halfway back toward its origin, which keeps
-candidates off the (rarely optimal) faces of the cube without discarding
-the direction searched.  `scheme_final` (the optimizer's scheme) and
-`boundary_proportion` (the wall-hit study) are built on the same batch.
+repeats, only once), and pulls every flagged or clamped candidate halfway
+back toward its origin, which keeps candidates off the (rarely optimal)
+faces of the cube, keeping the direction searched.  `scheme_final` (the
+optimizer's scheme) and `boundary_proportion` (the wall-hit study) share it.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ _NORM_SLACK = 1e-9
 #: different orders, each within about P * eps.
 _PAIR_MARGIN = 16 * np.finfo(float).eps
 
-#: Precandidates closer than this to their nearest design point give no
-#: usable direction and are redirected uniformly at random.
+#: A direction shorter than this (a precandidate on its design point, or a
+#: vanishing normal draw) is unusable and is redrawn uniformly at random.
 _DEGENERATE_NORM = 1e-12
 
 STRATEGIES = ("unif", "rect", "proj")
@@ -81,7 +81,7 @@ class CandidateSet:
     `t_lower` and `directions` describe the final bracket
     [t_lower, t_lower + bracket_width] of the underlying walk; `points` holds
     the clamped bracket midpoints, except that `walk_sample` replaces
-    face-touching candidates by the point halfway back to their origin.
+    flagged or clamped candidates by the point halfway back to their origin.
     `boundary_hit` marks walks whose full step never left the origin's cell
     (the bracket never closed), and `uncertified` marks walks whose shot
     bracket failed its owner checks and were bisected instead; both are kept
@@ -212,9 +212,9 @@ def vorwalk(
 
     A candidate is flagged `boundary_hit` when the origin's cell never
     ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
-    would give.  Directions scaled past the cube's own extent (as
-    `walk_sample` scales them) make such a step exit the cube, so flagged
-    candidates sit pinned on a cube face.
+    would give.  A step longer than the cube's extent then ends outside it,
+    and the clamp pins the candidate to a face; `walk_sample`'s unif steps
+    under L1 are shorter, so their flagged candidates can end inside.
     """
     design = _as_design(design)
     n, dim = design.shape
@@ -295,14 +295,14 @@ def vorwalk(
 
 
 def _halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
-    """Pull every face-touching point to the midpoint between it and its origin.
+    """Pull every flagged or clamped point to the midpoint between it and its origin.
 
-    A candidate touches a face when its walk was flagged (the step never
-    left the origin's cell) or when the clamp pinned any coordinate to 0 or
-    1 because the cell boundary lay beyond the cube.  Either way the point
-    is replaced by the midpoint of its origin and the face location, so no
-    returned candidate keeps a coordinate on the cube faces (unless its
-    origin is there).  Candidates clear of the faces are untouched; the
+    A candidate is pulled when its walk was flagged (the step never left the
+    origin's cell), whether or not it ended on a face, or when the clamp
+    pinned any coordinate to 0 or 1 because the cell boundary lay beyond the
+    cube.  Either way the point is replaced by the midpoint of its origin
+    and itself, so no returned candidate keeps a coordinate on the cube
+    faces (unless its origin is there).  Other candidates are untouched; the
     `boundary_hit` flags are kept as diagnostics.  Operates in place and
     returns the same set.
     """
@@ -311,6 +311,15 @@ def _halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
     if hit.any():
         cands.points[hit] = 0.5 * (design[cands.origin[hit]] + cands.points[hit])
     return cands
+
+
+def _scaled(d: np.ndarray, metric: Metric, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Rows of `d` scaled to norm `scale` under `metric`, degenerate rows redrawn first."""
+    norms = distance(metric, d, 0.0)
+    for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
+        d[i] = sphere_direction(d.shape[1], rng)
+        norms[i] = distance(metric, d[i], 0.0)
+    return d * (scale / norms)[:, None]
 
 
 def _walk_batch(
@@ -339,12 +348,7 @@ def _walk_batch(
         # one walk from each precandidate's nearest design point toward it
         pre = lhs(count, dim, rng)
         origins = nn_index.nearest_batch(design, pre, metric)
-        d = pre - design[origins]
-        norms = np.sqrt((d * d).sum(axis=1))
-        for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
-            d[i] = sphere_direction(dim, rng)
-            norms[i] = 1.0
-        return origins, d * (scale / norms)[:, None], np.arange(count)
+        return origins, _scaled(pre - design[origins], Metric.L2, scale, rng), np.arange(count)
 
     # origins before directions; with an incumbent, the other origins are
     # drawn from the other n - 1 points (all zeros when it is the only one)
@@ -360,12 +364,8 @@ def _walk_batch(
         origins = np.concatenate([np.full(n_inc, incumbent, dtype=np.intp), others.astype(np.intp)])
 
     if strategy == "unif":
-        d = rng.standard_normal((count, dim))
-        norms = distance(metric, d, 0.0)
-        for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
-            d[i] = sphere_direction(dim, rng)
-            norms[i] = distance(metric, d[i], 0.0)
-        return origins, d * (scale / norms)[:, None], np.arange(count)
+        d = _scaled(rng.standard_normal((count, dim)), metric, scale, rng)
+        return origins, d, np.arange(count)
     axes = rng.integers(0, 2 * dim, size=count)
     _, first, rows = np.unique(origins * (2 * dim) + axes, return_index=True, return_inverse=True)
     origins, axes = origins[first], axes[first]
@@ -394,8 +394,8 @@ def walk_sample(
     walk at its nearest design point, aimed at z with Euclidean length
     sqrt(P), so the candidates inherit the hypercube's spread without an
     origin bias; a z on its design point carries no direction and is
-    redirected uniformly at random.  Face-touching candidates are pulled
-    halfway back toward their origins (`_halfway_rule`).
+    redirected uniformly at random.  Flagged or clamped candidates are
+    pulled halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
     origins, directions, rows = _walk_batch(design, count, strategy, metric, incumbent, rng)

@@ -39,9 +39,9 @@ def test_run_end_to_end(tmp_path):
     meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
     assert meta["command"] == "run"
     assert meta["settings"]["budget"] == 8
-    assert meta["settings"]["method"] == "vor,lhs"
+    assert meta["settings"]["method"] == ["vor", "lhs"]
     assert meta["settings"] == {
-        "problem": "ackley", "dim": 2, "budget": 8, "method": "vor,lhs", "reps": 2,
+        "problem": "ackley", "dim": 2, "budget": 8, "method": ["vor", "lhs"], "reps": 2,
         "seed": 0, "n_init": None, "candidates": 50, "refit_until": 200,
         "refit_every": 25, "jobs": 1, "out": str(out), "include_x": True, "timing": True,
     }
@@ -106,6 +106,17 @@ def test_run_rejects_out_of_range_counts_by_name(
     assert exc.value.code == 2
     error = capsys.readouterr().err.splitlines()[-1]
     assert f"{flag} must be >= {floor}, got {value}" in error
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["vor,x", ","])
+def test_run_rejects_unknown_or_no_method_by_name(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args("x.csv", method=value))
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "--method" in error and f"got {value!r}" in error
     assert not list(tmp_path.iterdir())
 
 
@@ -468,10 +479,21 @@ def test_candidates_rejects_nonpositive_count_by_name(
 
 
 @pytest.mark.parametrize("scheme", ["vor", "lhs", "sobol"])
-@pytest.mark.parametrize("bad", ["nan", "inf", "-0.1", "1.5"])
-def test_candidates_rejects_design_outside_the_cube(tmp_path, capsys, scheme, bad):
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        *[
+            (f"0.1,0.2\n0.8,0.3\n0.4,{bad}\n0.6,0.6\n", "row 2 is not a point of the unit cube")
+            for bad in ["nan", "inf", "-0.1", "1.5"]
+        ],
+        ("", "holds no points"),
+        ("0.1,0.2\n0.3\n", "the number of columns changed from 2 to 1 at row 2"),
+    ],
+    ids=["nan", "inf", "-0.1", "1.5", "empty", "ragged"],
+)
+def test_candidates_rejects_design_outside_the_cube(tmp_path, capsys, scheme, text, error):
     design_path = tmp_path / "design.csv"
-    design_path.write_text(f"0.1,0.2\n0.8,0.3\n0.4,{bad}\n0.6,0.6\n")
+    design_path.write_text(text)
     with pytest.raises(SystemExit) as exc:
         main([
             "candidates", "--design", str(design_path), "--scheme", scheme,
@@ -479,8 +501,17 @@ def test_candidates_rejects_design_outside_the_cube(tmp_path, capsys, scheme, ba
         ])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"design file {design_path}: row 2 is not a point of the unit cube" in err
+    assert f"design file {design_path}: {error}" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_errors_after_parsing_report_through_the_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["candidates", "--dim", "2", "--incumbent", "50", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: vorbo candidates ")
+    assert error == "vorbo candidates: error: --incumbent must be in [0, 10), got 50"
 
 
 def test_candidates_needs_dim_or_design(tmp_path):

@@ -111,18 +111,6 @@ def test_refit_schedule_counts_acquisition_iterations(monkeypatch):
     assert seen_sizes == [6 + i for i in (0, 1, 2, 5, 8)]
 
 
-def test_fit_failure_falls_back_to_rebuild(monkeypatch):
-    config = _config(budget=9)
-
-    def always_fails(*args, **kwargs):
-        raise gp.SurrogateFitError("synthetic failure")
-
-    monkeypatch.setattr(driver.gp, "fit", always_fails)
-    records = run_bo(config, seed=8)
-    assert len(records) == 3
-    assert all(np.isfinite(r.y) for r in records)
-
-
 def _failing_from(rows, real):
     """`real`, except that designs of more than `rows` points raise SurrogateFitError."""
 

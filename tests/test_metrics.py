@@ -49,14 +49,6 @@ def test_triangle_inequality():
         assert np.all(lhs <= rhs + 1e-12)
 
 
-def test_from_string():
-    assert Metric.from_string("l1") is Metric.L1
-    assert Metric.from_string("L2") is Metric.L2
-    assert Metric.from_string("linf") is Metric.LINF
-    with pytest.raises(ValueError, match="unknown metric"):
-        Metric.from_string("l3")
-
-
 def test_diameter_is_attained_at_opposite_corners():
     # P -> (L1, L2, L-inf) diameter of [0, 1]^P
     diameters = {

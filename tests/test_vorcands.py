@@ -494,6 +494,17 @@ def test_halfway_rule_pulls_clamped_candidates():
     assert not cs.boundary_hit[0]
 
 
+def test_halfway_rule_pulls_flagged_candidates_inside_the_cube():
+    # under L1 a step of length sqrt(P) can end inside the cube: the walk is
+    # flagged but its point is not clamped, and it is pulled halfway all the same
+    design = np.array([[0.05, 0.05]])
+    cs = vorwalk(design, np.array([0]), np.full((1, 2), 0.5 * np.sqrt(2.0)), Metric.L1)
+    assert cs.boundary_hit[0] and ((cs.points > 0.0) & (cs.points < 1.0)).all()
+    end = cs.points[0].copy()
+    vorcands._halfway_rule(cs, design)
+    np.testing.assert_array_equal(cs.points[0], 0.5 * (design[0] + end))
+
+
 # ---------------------------- walk_sample -----------------------------------
 
 
