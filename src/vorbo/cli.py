@@ -9,10 +9,12 @@ problems        list built-in test problems
 
 Each subcommand declares its flags once, in one table.  An input error exits
 2 before any work, as `vorbo <subcommand>: error:` under that subcommand's
-usage; a bad value names its flag (`--reps must be >= 1, got 0`), and only
-an unreadable --design file exits 1.  Every file-writing subcommand also
-writes a `<out>.meta.json` sidecar whose `settings` are its table's values
-(list flags, `run --method` too, as lists) and the package version (never
+usage; a bad value names its flag (`--reps must be >= 1, got 0`), and a list
+flag rejects a repeated value (`--method repeats vor, got 'vor,vor'`).
+This module formats every number and writes every file: the library
+returns records and values.  Every file-writing subcommand also writes a
+`<out>.meta.json` sidecar whose `settings` are its table's values (list
+flags, `run --method` too, as lists) and the package version (never
 timestamps, so identical invocations produce identical files).  For `run`,
 values may come from a flat `key = value` config file via --config, keyed by
 flag name with underscores (`n_init = 12`, `timing = false` for --no-timing).
@@ -23,6 +25,7 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -33,8 +36,9 @@ import numpy as np
 
 from . import __version__
 from .bench import FIXED_DIMS, NATIVE_DOMAINS, PROBLEM_NAMES
-from .driver import DISCRETE_METHODS, METHODS, ExperimentConfig, seed_instance
-from .driver import _fmt, _write_lines, candidate_points, run_suite
+from .driver import (
+    DISCRETE_METHODS, METHODS, ExperimentConfig, candidate_points, run_suite, seed_instance,
+)
 from .metrics import Metric
 from .sampling import lhs
 from .vorcands import STRATEGIES, boundary_proportion
@@ -48,14 +52,21 @@ class _Parser(argparse.ArgumentParser):
         super().error(re.sub(r"^argument (-\S+): ", r"\1 ", message))
 
 
+def _first_repeat(values: list):
+    """The first value that `values` holds twice, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 def _ints(floor: int, many: bool = False):
     """An argparse type: an integer >= `floor`, or with `many` a non-empty
-    comma-separated list of them."""
+    comma-separated list of distinct ones."""
 
     def parse(text: str) -> int | list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()] if many else [int(text)]
         if min(values, default=floor - 1) < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {text}")
+        if (repeat := _first_repeat(values)) is not None:
+            raise argparse.ArgumentTypeError(f"repeats {repeat}, got {text}")
         return values if many else values[0]
 
     parse.__name__ = "int list" if many else "int"  # "invalid int value: 'x'"
@@ -63,23 +74,34 @@ def _ints(floor: int, many: bool = False):
 
 
 def _names(valid: tuple[str, ...]):
-    """An argparse type: a non-empty comma-separated list of names from `valid`."""
+    """An argparse type: a non-empty comma-separated list of distinct names
+    from `valid`."""
 
     def parse(text: str) -> list[str]:
         names = [tok.strip() for tok in text.split(",") if tok.strip()]
         if not names or not set(names) <= set(valid):
             raise argparse.ArgumentTypeError(f"takes names from {', '.join(valid)}, got {text!r}")
+        if (repeat := _first_repeat(names)) is not None:
+            raise argparse.ArgumentTypeError(f"repeats {repeat}, got {text!r}")
         return names
 
     return parse
 
 
+def _fmt(v: float) -> str:
+    """Shortest text that reads back as the same float."""
+    return repr(float(v))
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _write_sidecar(args: argparse.Namespace, **extra) -> None:
     settings = {name: getattr(args, name) for name in args.settings}
     payload = {"command": args.subcommand, "version": __version__, "settings": settings, **extra}
-    with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(args.out + ".meta.json", [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
@@ -119,14 +141,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         if settings[required] is None:
             raise ValueError(f"missing required setting: {required}")
     seeds = tuple(range(settings["seed"], settings["seed"] + settings["reps"]))
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     config = ExperimentConfig(
         methods=tuple(settings["method"]),
         seeds=seeds,
         n_candidates=settings["candidates"],
-        # every other setting has the name of its ExperimentConfig field
-        **{k: v for k, v in settings.items() if k not in ("method", "seed", "reps", "candidates")},
+        # out, include_x and timing shape only the file written below
+        **{k: v for k, v in settings.items() if k in fields},
     )
-    _, failures = run_suite(config)
+    records, failures = run_suite(config)
+
+    # seed,method,problem,dim,iteration[,x0..x{P-1}],y,y_best,elapsed_ms,cand_ms,fit_ms
+    cols = ["seed", "method", "problem", "dim", "iteration"]
+    cols += [f"x{p}" for p in range(config.dim)] if args.include_x else []
+    lines = [",".join([*cols, "y", "y_best", "elapsed_ms", "cand_ms", "fit_ms"])]
+    for r in records:
+        row = [str(r.seed), r.method, config.problem, str(config.dim), str(r.iteration)]
+        row += [_fmt(v) for v in r.x] if args.include_x else []
+        row += [_fmt(r.y), _fmt(r.y_best)]
+        row += [_fmt(r.elapsed_ms), _fmt(r.cand_ms), _fmt(r.fit_ms)] if args.timing else ["0"] * 3
+        lines.append(",".join(row))
+    _write_lines(args.out, lines)
 
     extra = {
         "seeds": list(seeds),
@@ -169,8 +204,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
                 warnings.simplefilter("ignore")  # an empty file is reported below
                 design = np.loadtxt(args.design_file, delimiter=",", ndmin=2)
         except OSError as exc:
-            print(f"cannot read design file {args.design_file}: {exc}", file=sys.stderr)
-            return 1
+            raise ValueError(f"cannot read design file {args.design_file}: {exc}") from None
         except ValueError as exc:  # a ragged row or a non-number
             raise ValueError(f"design file {args.design_file}: {exc}") from None
         if not design.size:
@@ -274,18 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="parallel worker processes (default %(default)s)",
         ),
         flag("--out", help="output CSV path"),
-        flag(
-            "--no-x",
-            dest="include_x",
-            action="store_false",
-            default=cfg.include_x,
-            help="omit x columns",
-        ),
+        flag("--no-x", dest="include_x", action="store_false", help="omit x columns"),
         flag(
             "--no-timing",
             dest="timing",
             action="store_false",
-            default=cfg.timing,
             help="zero the timing columns (byte-stable output)",
         ),
     )

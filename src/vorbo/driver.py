@@ -15,9 +15,11 @@ every `refit_every`-th iteration thereafter; in between, the factorization
 is rebuilt with the previous lengthscales so new data still enters the
 model.
 
-Timing columns: `cand_ms` records candidate generation for the candidate
+Timing fields: `cand_ms` records candidate generation for the candidate
 methods and the continuous inner search for `opt`; `fit_ms` the surrogate
 fit or rebuild; `elapsed_ms` cumulative wall time since the cell started.
+
+Records are returned, never written: `cli` owns the CSV format and every file.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ class ExperimentConfig:
     n_candidates: int | None = None  # default min(5000, 100P)
     refit_until: int = 200
     refit_every: int = 25
-    out: str | None = None
-    include_x: bool = True
-    timing: bool = True
     jobs: int = 1
 
     def resolved_n_init(self) -> int:
@@ -93,8 +92,6 @@ class ExperimentConfig:
 class TrajectoryRecord:
     seed: int
     method: str
-    problem: str
-    dim: int
     iteration: int
     x: np.ndarray
     y: float
@@ -203,8 +200,6 @@ def run_bo(
             TrajectoryRecord(
                 seed=seed,
                 method=method,
-                problem=config.problem,
-                dim=config.dim,
                 iteration=design.shape[0],
                 x=x_new.copy(),
                 y=y_new,
@@ -230,8 +225,6 @@ def _failure_record(config: ExperimentConfig, method: str, seed: int) -> Traject
     return TrajectoryRecord(
         seed=seed,
         method=method,
-        problem=config.problem,
-        dim=config.dim,
         iteration=-1,
         x=np.full(config.dim, nan),
         y=nan,
@@ -245,12 +238,12 @@ def _failure_record(config: ExperimentConfig, method: str, seed: int) -> Traject
 def run_suite(
     config: ExperimentConfig,
 ) -> tuple[list[TrajectoryRecord], list[tuple[str, int, str]]]:
-    """Run every (method, seed) cell; write the CSV if config.out is set.
+    """Run every (method, seed) cell; returns (records, failures).
 
     Cells are independent; with config.jobs > 1 they run in worker
-    processes.  Output is sorted by (method, seed, iteration) so scheduling
-    order can never change the bytes written.  A failed cell contributes one
-    sentinel row (iteration -1, NaN outputs) and is reported in the returned
+    processes.  Records are sorted by (method, seed, iteration) so scheduling
+    order can never change them.  A failed cell contributes one sentinel
+    record (iteration -1, NaN outputs) and is reported in the returned
     failure list; other cells proceed.
     """
     config.validate()
@@ -270,36 +263,4 @@ def run_suite(
             failures.append((method, seed, error))
             records.append(_failure_record(config, method, seed))
     records.sort(key=lambda r: (r.method, r.seed, r.iteration))
-    if config.out is not None:
-        write_csv(records, config)
     return records, failures
-
-
-def _fmt(v: float) -> str:
-    """Shortest text that reads back as the same float."""
-    return repr(float(v))
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_csv(records: list[TrajectoryRecord], config: ExperimentConfig) -> None:
-    """Schema: seed,method,problem,dim,iteration[,x0..x{P-1}],y,y_best,elapsed_ms,cand_ms,fit_ms."""
-    cols = ["seed", "method", "problem", "dim", "iteration"]
-    if config.include_x:
-        cols += [f"x{p}" for p in range(config.dim)]
-    cols += ["y", "y_best", "elapsed_ms", "cand_ms", "fit_ms"]
-    lines = [",".join(cols)]
-    for r in records:
-        row = [str(r.seed), r.method, r.problem, str(r.dim), str(r.iteration)]
-        if config.include_x:
-            row += [_fmt(v) for v in r.x]
-        row += [_fmt(r.y), _fmt(r.y_best)]
-        if config.timing:
-            row += [_fmt(r.elapsed_ms), _fmt(r.cand_ms), _fmt(r.fit_ms)]
-        else:
-            row += ["0", "0", "0"]
-        lines.append(",".join(row))
-    _write_lines(config.out, lines)

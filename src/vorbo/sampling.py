@@ -1,4 +1,4 @@
-"""Space-filling designs and random directions on the unit cube."""
+"""Space-filling designs on the unit cube."""
 
 from __future__ import annotations
 
@@ -45,11 +45,3 @@ def sobol(n: int, dim: int, start_index: int = 1) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         return gen.random(n)
 
-
-def sphere_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A direction drawn uniformly on the unit sphere in `dim` dimensions."""
-    while True:
-        v = rng.standard_normal(dim)
-        norm = float(np.sqrt(v @ v))
-        if norm > 1e-12:
-            return v / norm

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import nn_index
 from .metrics import Metric, distance
-from .sampling import lhs, sphere_direction
+from .sampling import lhs
 
 #: Walks bracket the boundary within 2^-30 ~ 1e-9; the fallback bisection
 #: takes this many rounds.
@@ -314,11 +314,12 @@ def _halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
 
 
 def _scaled(d: np.ndarray, metric: Metric, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Rows of `d` scaled to norm `scale` under `metric`, degenerate rows redrawn first."""
+    """Rows of `d` scaled to norm `scale` under `metric`, degenerate rows
+    redrawn from the standard normal first."""
     norms = distance(metric, d, 0.0)
-    for i in np.flatnonzero(norms <= _DEGENERATE_NORM):
-        d[i] = sphere_direction(d.shape[1], rng)
-        norms[i] = distance(metric, d[i], 0.0)
+    while (bad := np.flatnonzero(norms <= _DEGENERATE_NORM)).size:
+        d[bad] = rng.standard_normal((bad.size, d.shape[1]))
+        norms[bad] = distance(metric, d[bad], 0.0)
     return d * (scale / norms)[:, None]
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vorbo import driver, gp
 from vorbo.bench import make_problem
 from vorbo.cli import main
 
@@ -109,7 +110,7 @@ def test_run_rejects_out_of_range_counts_by_name(
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", ["vor,x", ","])
+@pytest.mark.parametrize("value", ["vor,x", ",", "vor,vor"])
 def test_run_rejects_unknown_or_no_method_by_name(tmp_path, monkeypatch, capsys, value):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -177,8 +178,8 @@ _CONFIG_KEYS = {
 
 @pytest.fixture
 def cells(monkeypatch):
-    """Stop `run` short of its cells: it writes only the sidecar, and each
-    config that would have run is recorded."""
+    """Stop `run` short of its cells: it writes a CSV of the header alone and
+    the sidecar, and each config that would have run is recorded."""
     configs = []
 
     def run_suite(config):
@@ -250,6 +251,75 @@ def test_run_rejects_missing_output_directory(tmp_path, capsys, cells):
     assert exc.value.code == 2
     assert "output directory" in capsys.readouterr().err
     assert cells == []
+
+
+# ----------------------------- trajectory CSV -------------------------------
+
+
+@pytest.fixture
+def suites(monkeypatch):
+    """The records and failures of each suite that `run` writes."""
+    results = []
+
+    def run_suite(config):
+        results.append(driver.run_suite(config))
+        return results[-1]
+
+    monkeypatch.setattr("vorbo.cli.run_suite", run_suite)
+    return results
+
+
+def test_run_csv_schema(tmp_path, suites):
+    out = tmp_path / "runs.csv"
+    assert main(_run_args(out)) == 0
+    ((records, _),) = suites
+    lines = out.read_text().splitlines()
+    assert lines[0] == "seed,method,problem,dim,iteration,x0,x1,y,y_best,elapsed_ms,cand_ms,fit_ms"
+    assert len(lines) == 1 + len(records)
+    first = lines[1].split(",")
+    assert first[:5] == ["0", "vor", "ackley", "2", "7"]
+    assert float(first[6]) == records[0].x[1]
+
+
+def test_run_csv_without_coordinates_or_timing(tmp_path):
+    out = tmp_path / "runs.csv"
+    assert main([*_run_args(out), "--no-x", "--no-timing"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "seed,method,problem,dim,iteration,y,y_best,elapsed_ms,cand_ms,fit_ms"
+    assert all(line.endswith(",0,0,0") for line in lines[1:])
+
+
+def test_run_failure_row_serializes(tmp_path, monkeypatch):
+    def crash(config, seed, method=None):
+        raise RuntimeError("synthetic cell crash")
+
+    monkeypatch.setattr(driver, "run_bo", crash)
+    out = tmp_path / "runs.csv"
+    assert main(_run_args(out, seed="3")) == 1
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:5] == ["3", "vor", "ackley", "2", "-1"]
+    assert row[5] == row[6] == "nan"
+
+
+def test_run_first_iteration_fit_failure_writes_a_sentinel_row(tmp_path, monkeypatch):
+    def fail(design, y, lengthscales):
+        raise gp.SurrogateFitError("synthetic failure")
+
+    monkeypatch.setattr(driver.gp, "fit", fail)
+    monkeypatch.setattr(driver.gp, "build", fail)
+    out = tmp_path / "runs.csv"
+    assert main(_run_args(out)) == 1
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[:5] == ["0", "vor", "ackley", "2", "-1"]
+
+
+def test_run_parallel_and_serial_write_identical_files(tmp_path):
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    base = ["--method", "lhs,vor", "--reps", "2", "--no-timing"]
+    assert main([*_run_args(serial, method=None), *base, "--jobs", "1"]) == 0
+    assert main([*_run_args(parallel, method=None), *base, "--jobs", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
 
 
 # ----------------------------- boundary-study -------------------------------
@@ -328,6 +398,8 @@ def test_boundary_study_rejects_unknown_metric(tmp_path):
         ("--metrics", ""),
         ("--sizes", "x"),
         ("--dims", "2,x"),
+        ("--sizes", "5,5"),
+        ("--strategies", "rect,rect"),
     ],
 )
 def test_boundary_study_rejects_empty_or_nonpositive_flags(
@@ -415,8 +487,11 @@ def test_candidates_unreadable_design_file(tmp_path, capsys):
         "candidates", "--design", str(tmp_path / "absent.csv"),
         "--out", str(tmp_path / "x.csv"),
     ]
-    assert main(args) == 1
-    assert "cannot read design file" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "vorbo candidates: error: cannot read design file" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_candidates_rejects_repeated_design_rows(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vorbo import driver, gp
-from vorbo.driver import ExperimentConfig, TrajectoryRecord, run_bo, run_suite, write_csv
+from vorbo.driver import ExperimentConfig, TrajectoryRecord, run_bo, run_suite
 
 
 def _config(**kwargs):
@@ -143,20 +143,17 @@ def test_fit_and_rebuild_failure_keeps_the_previous_model(monkeypatch):
     assert models[0] is not models[1] and models[1] is models[2] is models[3]
 
 
-def test_fit_and_rebuild_failure_on_the_first_iteration_fails_the_cell(monkeypatch, tmp_path):
+def test_fit_and_rebuild_failure_on_the_first_iteration_fails_the_cell(monkeypatch):
     # with no previous model to fall back on, the cell fails, and the suite
-    # records it as a sentinel row
+    # records it as a sentinel record
     monkeypatch.setattr(driver.gp, "fit", _failing_from(0, gp.fit))
     monkeypatch.setattr(driver.gp, "build", _failing_from(0, gp.build))
-    out = tmp_path / "runs.csv"
-    config = _config(budget=8, out=str(out))
+    config = _config(budget=8)
     with pytest.raises(gp.SurrogateFitError, match="synthetic failure"):
         run_bo(config, seed=0)
     records, failures = run_suite(config)
     assert failures == [("vor", 0, "SurrogateFitError: synthetic failure")]
     assert len(records) == 1 and records[0].iteration == -1 and np.isnan(records[0].y)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2 and lines[1].split(",")[:5] == ["0", "vor", "ackley", "2", "-1"]
 
 
 # ------------------------------- run_suite ----------------------------------
@@ -188,48 +185,6 @@ def test_suite_isolates_failing_cells(monkeypatch):
     assert len(sentinel) == 1
     assert sentinel[0].seed == 1 and np.isnan(sentinel[0].y)
     assert len([r for r in records if r.iteration > 0]) == 2
-
-
-def test_parallel_and_serial_suites_write_identical_files(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    base = dict(budget=8, methods=("lhs", "vor"), seeds=(0, 1), timing=False)
-    run_suite(_config(out=str(serial), jobs=1, **base))
-    run_suite(_config(out=str(parallel), jobs=2, **base))
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-# ------------------------------- write_csv ----------------------------------
-
-
-def test_csv_schema(tmp_path):
-    out = tmp_path / "runs.csv"
-    config = _config(budget=8, out=str(out))
-    records, _ = run_suite(config)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "seed,method,problem,dim,iteration,x0,x1,y,y_best,elapsed_ms,cand_ms,fit_ms"
-    assert len(lines) == 1 + len(records)
-    first = lines[1].split(",")
-    assert first[:5] == ["0", "vor", "ackley", "2", "7"]
-    assert float(first[6]) == records[0].x[1]
-
-
-def test_csv_without_coordinates_or_timing(tmp_path):
-    out = tmp_path / "runs.csv"
-    config = _config(budget=8, out=str(out), include_x=False, timing=False)
-    run_suite(config)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "seed,method,problem,dim,iteration,y,y_best,elapsed_ms,cand_ms,fit_ms"
-    assert all(line.endswith(",0,0,0") for line in lines[1:])
-
-
-def test_failure_row_serializes(tmp_path):
-    out = tmp_path / "runs.csv"
-    config = _config(out=str(out), include_x=True)
-    write_csv([driver._failure_record(config, "vor", 3)], config)
-    row = out.read_text().splitlines()[1].split(",")
-    assert row[:5] == ["3", "vor", "ackley", "2", "-1"]
-    assert row[5] == row[6] == "nan"
 
 
 # ----------------------------- configuration --------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vorbo.sampling import lhs, sobol, sphere_direction
+from vorbo.sampling import lhs, sobol
 
 # --- reference Sobol construction (direction numbers, Gray-code order) ----
 #
@@ -112,20 +112,3 @@ def test_sobol_errors():
     with pytest.raises(ValueError):
         sobol(4, 2, start_index=-1)
 
-
-# --------------------------- sphere directions ------------------------------
-
-
-def test_sphere_direction_unit_norm():
-    rng = np.random.default_rng(2)
-    for dim in (1, 2, 10):
-        for _ in range(20):
-            v = sphere_direction(dim, rng)
-            assert v.shape == (dim,)
-            assert np.sqrt(v @ v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sphere_direction_deterministic():
-    a = sphere_direction(5, np.random.default_rng(9))
-    b = sphere_direction(5, np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
