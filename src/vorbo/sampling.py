@@ -44,4 +44,3 @@ def sobol(n: int, dim: int, start_index: int = 1) -> np.ndarray:
         # drawing a non power-of-two count is intentional here
         warnings.simplefilter("ignore", UserWarning)
         return gen.random(n)
-

@@ -111,4 +111,3 @@ def test_sobol_errors():
         sobol(4, 0)
     with pytest.raises(ValueError):
         sobol(4, 2, start_index=-1)
-
