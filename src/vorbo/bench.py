@@ -10,22 +10,9 @@ whole cube with the optimum interior almost surely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-PROBLEM_NAMES = ("ackley", "levy", "rosenbrock", "sinesum2d")
-
-#: Native evaluation boxes (lower, upper), identical in every coordinate.
-NATIVE_DOMAINS = {
-    "ackley": (-32.768, 32.768),
-    "levy": (-10.0, 10.0),
-    "rosenbrock": (-5.0, 10.0),
-    "sinesum2d": (0.0, 1.0),
-}
-
-#: The dimension of each problem defined at one P only; the others take any P.
-FIXED_DIMS = {"sinesum2d": 2}
 
 
 @dataclass
@@ -66,36 +53,44 @@ def _sinesum(z: np.ndarray) -> np.ndarray:
     return np.sin(4.0 * np.pi * (z - 0.5) ** 2).sum(axis=-1)
 
 
-_NATIVE_FUNCS = {
-    "ackley": _ackley,
-    "levy": _levy,
-    "rosenbrock": _rosenbrock,
-    "sinesum2d": _sinesum,
+class ProblemSpec(NamedTuple):
+    func: Callable[[np.ndarray], np.ndarray]  # on native coordinates
+    box: tuple[float, float]  # native (lower, upper), identical in every coordinate
+    dim: int | None  # the one dimension the problem is defined at; None takes any P
+    shifted: bool  # optimum moved to a uniformly drawn point
+
+
+#: The one table of built-in problems.
+PROBLEMS = {
+    "ackley": ProblemSpec(_ackley, (-32.768, 32.768), None, True),
+    "levy": ProblemSpec(_levy, (-10.0, 10.0), None, False),
+    "rosenbrock": ProblemSpec(_rosenbrock, (-5.0, 10.0), None, False),
+    "sinesum2d": ProblemSpec(_sinesum, (0.0, 1.0), 2, False),
 }
+PROBLEM_NAMES = tuple(PROBLEMS)
 
 
 def check_problem(name: str, dim: int) -> None:
     """Raise ValueError unless `name` is a built-in problem defined at `dim`."""
-    if name not in PROBLEM_NAMES:
+    if name not in PROBLEMS:
         raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if FIXED_DIMS.get(name, dim) != dim:
-        raise ValueError(f"{name} is a {FIXED_DIMS[name]}-D problem, got dim={dim}")
+    if PROBLEMS[name].dim not in (None, dim):
+        raise ValueError(f"{name} is a {PROBLEMS[name].dim}-D problem, got dim={dim}")
 
 
 def make_problem(name: str, dim: int, rng: np.random.Generator) -> TestProblem:
     """Build a problem on [0,1]^dim.
 
-    `rng` is consumed only by Ackley (its optimum location); the other
-    problems are fully deterministic and leave the generator untouched.
-    `FIXED_DIMS` problems take only their own dim.  Evaluate accepts a single
+    `rng` is consumed only by a `shifted` problem (its optimum location); the
+    others are fully deterministic and leave the generator untouched.  A
+    problem with a fixed `dim` takes only that dim.  Evaluate accepts a single
     point or a batch (leading axes broadcast) of unit-cube coordinates.
     """
     check_problem(name, dim)
-    lo, hi = NATIVE_DOMAINS[name]
-    func = _NATIVE_FUNCS[name]
-    shift = rng.random(dim) if name == "ackley" else None
+    func, (lo, hi), _, shifted = PROBLEMS[name]
+    shift = rng.random(dim) if shifted else None
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

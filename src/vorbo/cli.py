@@ -35,9 +35,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .bench import FIXED_DIMS, NATIVE_DOMAINS, PROBLEM_NAMES
+from .bench import PROBLEM_NAMES, PROBLEMS
 from .driver import (
-    DISCRETE_METHODS, METHODS, ExperimentConfig, candidate_points, run_suite, seed_instance,
+    DISCRETE_METHODS, FLOORS, METHODS, ExperimentConfig, candidate_points, run_suite, seed_instance
 )
 from .metrics import Metric
 from .sampling import lhs
@@ -250,10 +250,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 
 def cmd_problems(_: argparse.Namespace) -> int:
     print(f"{'name':<12} {'native domain':<22} {'dims':<8} known_best")
-    for name in PROBLEM_NAMES:
-        lo, hi = NATIVE_DOMAINS[name]
-        dims = FIXED_DIMS.get(name, "any")
-        print(f"{name:<12} {f'[{lo:g}, {hi:g}]^P':<22} {dims:<8} 0.0")
+    for name, (_, (lo, hi), dim, _) in PROBLEMS.items():
+        print(f"{name:<12} {f'[{lo:g}, {hi:g}]^P':<22} {dim or 'any':<8} 0.0")
     return 0
 
 
@@ -292,18 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
             default=cfg.seeds[0],
             help="base seed; replicates use seed..seed+reps-1",
         ),
-        flag("--n-init", type=_ints(2), default=cfg.n_init, help="initial design size (default 3P)"),
+        flag(
+            "--n-init",
+            type=_ints(FLOORS["n_init"]),
+            default=cfg.n_init,
+            help="initial design size (default 3P)",
+        ),
         flag(
             "--candidates",
-            type=_ints(1),
+            type=_ints(FLOORS["n_candidates"]),
             default=cfg.n_candidates,
             help="candidate count C (default min(5000, 100P))",
         ),
-        flag("--refit-until", type=_ints(0), default=cfg.refit_until),
-        flag("--refit-every", type=_ints(1), default=cfg.refit_every),
+        flag("--refit-until", type=_ints(FLOORS["refit_until"]), default=cfg.refit_until),
+        flag("--refit-every", type=_ints(FLOORS["refit_every"]), default=cfg.refit_every),
         flag(
             "--jobs",
-            type=_ints(1),
+            type=_ints(FLOORS["jobs"]),
             default=cfg.jobs,
             help="parallel worker processes (default %(default)s)",
         ),

@@ -13,7 +13,8 @@ The refit schedule counts acquisition iterations (0-based): a full
 maximum-likelihood refit on each of the first `refit_until` iterations and
 every `refit_every`-th iteration thereafter; in between, the factorization
 is rebuilt with the previous lengthscales so new data still enters the
-model.
+model.  Fits and rebuilds start from the held model, or from
+`gp.LENGTHSCALE_START` before the first.
 
 Timing fields: `cand_ms` records candidate generation for the candidate
 methods and the continuous inner search for `opt`; `fit_ms` the surrogate
@@ -41,6 +42,9 @@ METHODS = (*DISCRETE_METHODS, "opt")
 #: Proposals closer than this (L-inf) to an existing row are perturbed.
 _DUPLICATE_TOL = 1e-12
 _PERTURB_HALFWIDTH = 1e-6
+
+#: The least value of each count setting (n_init: two points fit a surrogate).
+FLOORS = {"n_init": 2, "n_candidates": 1, "refit_until": 0, "refit_every": 1, "jobs": 1}
 
 
 @dataclass
@@ -73,19 +77,15 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
-        if self.resolved_n_init() < 2:
-            raise ValueError(f"n_init must be >= 2 to fit a surrogate, got {self.n_init}")
-        if self.resolved_n_candidates() < 1:
-            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
+        for name, floor in FLOORS.items():
+            value = getattr(self, name)  # None resolves to a default above the floor
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.budget <= self.resolved_n_init():
             raise ValueError(
                 f"budget ({self.budget}) must exceed the initial design size "
                 f"({self.resolved_n_init()})"
             )
-        if self.refit_until < 0 or self.refit_every < 1:
-            raise ValueError("refit schedule parameters out of range")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -167,7 +167,6 @@ def run_bo(
     n_cand = config.resolved_n_candidates()
     n_acq = config.budget - design.shape[0]
 
-    lengthscales = np.full(config.dim, 0.5)
     model: gp.GpModel | None = None
     records: list[TrajectoryRecord] = []
     cell_t0 = time.perf_counter()
@@ -178,8 +177,8 @@ def run_bo(
         refit = i < config.refit_until or (i - config.refit_until) % config.refit_every == 0
         fit_t0 = time.perf_counter()
         try:
-            model = (gp.fit if refit else gp.build)(design, y, lengthscales)
-            lengthscales = model.hyper.lengthscales
+            start = model.hyper.lengthscales if model else np.full(config.dim, gp.LENGTHSCALE_START)
+            model = (gp.fit if refit else gp.build)(design, y, start)
         except gp.SurrogateFitError:
             # keep the stale model, or fail with none: a rebuild would redo the
             # factorization that just failed (fit raises only if its start's does)

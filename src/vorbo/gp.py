@@ -33,8 +33,9 @@ from scipy.spatial.distance import cdist
 #: acquisition surface.
 TAU_SQ_FLOOR = 1e-12
 
-#: Box for the fitted lengthscales, and the fit's L-BFGS-B iteration cap.
+#: Lengthscale box, the start of a cell's first fit, and L-BFGS-B's iteration cap.
 LENGTHSCALE_BOUNDS = (1e-3, 10.0)
+LENGTHSCALE_START = 0.5
 FIT_MAXITER = 100
 
 #: Jitter added to the correlation matrix: NUGGET first, escalated tenfold
@@ -66,7 +67,6 @@ class GpModel:
     """
 
     design: np.ndarray
-    y_centered: np.ndarray
     y_mean: float
     hyper: GpHyper
     chol: np.ndarray
@@ -163,7 +163,6 @@ def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpMode
     hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
     return GpModel(
         design=design,
-        y_centered=yc,
         y_mean=y_mean,
         hyper=hyper,
         chol=np.ascontiguousarray(low),

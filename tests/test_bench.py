@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vorbo.bench import NATIVE_DOMAINS, PROBLEM_NAMES, TestProblem, make_problem
+from vorbo.bench import PROBLEM_NAMES, PROBLEMS, TestProblem, make_problem
 
 
 # scalar-loop references, written independently of the vectorized module
@@ -46,7 +46,7 @@ _REFS = {
 
 
 def _reference_value(problem: TestProblem, x: np.ndarray) -> float:
-    lo, hi = NATIVE_DOMAINS[problem.name]
+    lo, hi = PROBLEMS[problem.name].box
     u = np.array(x, dtype=float)
     if problem.shift is not None:
         u = np.mod(u - problem.shift + 0.5, 1.0)
@@ -150,4 +150,3 @@ def test_configuration_errors():
 
 def test_problem_names_registry():
     assert set(PROBLEM_NAMES) == {"ackley", "levy", "rosenbrock", "sinesum2d"}
-    assert set(NATIVE_DOMAINS) == set(PROBLEM_NAMES)

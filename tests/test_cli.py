@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vorbo import driver, gp
-from vorbo.bench import make_problem
+from vorbo.bench import PROBLEMS, make_problem
 from vorbo.cli import main
 
 
@@ -604,6 +604,13 @@ def test_problems_listing(capsys):
     for name in ("ackley", "levy", "rosenbrock", "sinesum2d"):
         assert name in text
     assert "[-32.768, 32.768]" in text
+    header, *rows = text.splitlines()
+    box, dims, best = (header.index(col) for col in ("native domain", "dims", "known_best"))
+    assert [row.split()[0] for row in rows] == list(PROBLEMS)
+    for row, spec in zip(rows, PROBLEMS.values()):
+        lo, hi = row[box:dims].strip().removeprefix("[").removesuffix("]^P").split(", ")
+        assert (float(lo), float(hi)) == spec.box
+        assert row[dims:best].strip() == str(spec.dim or "any")
 
 
 def test_problems_columns_line_up(capsys):

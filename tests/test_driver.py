@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,38 @@ def test_fit_and_rebuild_failure_keeps_the_previous_model(monkeypatch):
     assert models[0] is not models[1] and models[1] is models[2] is models[3]
 
 
+def test_each_fit_starts_from_the_held_model(monkeypatch):
+    # 6 initial points, 4 acquisitions: refits on iterations 0, 1 and 3 and a
+    # rebuild on 2; from iteration 2 (8 rows) on every call fails, so
+    # iterations 2 and 3 start from iteration 1's model
+    config = _config(budget=10, refit_until=1, refit_every=2)
+    starts, held, models = [], [], []
+
+    def recording(real):
+        failing = _failing_from(7, real)
+
+        def call(design, y, lengthscales):
+            starts.append(np.array(lengthscales, copy=True))
+            held.append(models[-1] if models else None)
+            models.append(failing(design, y, lengthscales))
+            return models[-1]
+
+        return call
+
+    # a copy of the module for the driver alone, so that fit's own build
+    # call is not recorded
+    calls = {"fit": recording(gp.fit), "build": recording(gp.build)}
+    monkeypatch.setattr(driver, "gp", SimpleNamespace(**{**vars(gp), **calls}))
+    run_bo(config, seed=8)
+    assert len(starts) == 4 and len(models) == 2
+    np.testing.assert_array_equal(starts[0], np.full(config.dim, gp.LENGTHSCALE_START))
+    assert held[0] is None and held[2] is held[3] is models[1]
+    for start, model in zip(starts[1:], held[1:]):
+        np.testing.assert_array_equal(start, model.hyper.lengthscales)
+    # the first fit moved, so a start from LENGTHSCALE_START would differ
+    assert not np.array_equal(starts[1], starts[0])
+
+
 def test_fit_and_rebuild_failure_on_the_first_iteration_fails_the_cell(monkeypatch):
     # with no previous model to fall back on, the cell fails, and the suite
     # records it as a sentinel record
@@ -221,6 +255,14 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="sinesum2d"):
         _config(problem="sinesum2d", dim=3).validate()
     _config(problem="sinesum2d", dim=2).validate()
+
+
+@pytest.mark.parametrize("field", list(driver.FLOORS))
+def test_config_rejects_a_count_below_its_floor(field):
+    floor = driver.FLOORS[field]
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {floor}, got {floor - 1}$"):
+        _config(**{field: floor - 1}).validate()
+    _config(**{field: floor}).validate()
 
 
 def test_unknown_problem_surfaces_at_run_time():

@@ -7,11 +7,12 @@ from vorbo import gp
 from vorbo.gp import SurrogateFitError
 
 
-def _dense_moments(model, queries):
+def _dense_moments(model, y, queries):
     """Oracle: explicit inverse of the full covariance, no Cholesky reuse.
 
     Builds K = tau^2 * C and the effective jitter tau^2 * g directly from the
-    stored hyperparameters and inverts densely; valid only at small N.
+    stored hyperparameters, centres the raw outputs `y` with the model's
+    mean, and inverts densely; valid only at small N.
     """
     X = model.design
     ls = model.hyper.lengthscales
@@ -24,7 +25,7 @@ def _dense_moments(model, queries):
     big_k = k(X, X) + tau_sq * g * np.eye(X.shape[0])
     k_star = k(np.atleast_2d(queries), X)
     inv = np.linalg.inv(big_k)
-    mean = model.y_mean + k_star @ inv @ model.y_centered
+    mean = model.y_mean + k_star @ inv @ (y - model.y_mean)
     var = tau_sq - np.einsum("ij,jk,ik->i", k_star, inv, k_star)
     return mean, np.sqrt(np.maximum(var, 0.0))
 
@@ -150,7 +151,7 @@ def test_moments_match_dense_oracle():
         model = gp.build(X, y, np.array([0.05, 0.08, 0.12]))
         queries = rng.random((15, 3))
         mean, sd = gp.predict(model, queries)
-        o_mean, o_sd = _dense_moments(model, queries)
+        o_mean, o_sd = _dense_moments(model, y, queries)
         np.testing.assert_allclose(mean, o_mean, atol=1e-10, rtol=0)
         np.testing.assert_allclose(sd, o_sd, atol=1e-10, rtol=0)
 
