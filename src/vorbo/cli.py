@@ -39,7 +39,7 @@ from .bench import PROBLEM_NAMES, PROBLEMS
 from .driver import (
     DISCRETE_METHODS, FLOORS, METHODS, ExperimentConfig, candidate_points, run_suite, seed_instance
 )
-from .metrics import Metric
+from .nn_index import Metric
 from .sampling import lhs
 from .vorcands import STRATEGIES, boundary_proportion
 
@@ -167,9 +167,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seeds": list(seeds),
         "failures": [{"method": m, "seed": s, "error": e} for m, s, e in failures],
     }
-    problems = {s: seed_instance(config, s)[0] for s in seeds}
-    if problems[seeds[0]].shift is not None:
-        extra["shifts"] = {str(s): list(p.shift) for s, p in problems.items()}
+    if PROBLEMS[config.problem].shifted:
+        extra["shifts"] = {str(s): list(seed_instance(config, s)[0].shift) for s in seeds}
     _write_sidecar(args, **extra)
     if failures:
         for method, seed, error in failures:

@@ -155,12 +155,9 @@ def _propose(
     return acquisition.argmax_discrete(model, points, y_min).point, gen_seconds
 
 
-def run_bo(
-    config: ExperimentConfig, seed: int, method: str | None = None
-) -> list[TrajectoryRecord]:
+def run_bo(config: ExperimentConfig, seed: int, method: str) -> list[TrajectoryRecord]:
     """Run one cell; one record per acquisition (budget - n_init in total)."""
     config.validate()
-    method = method or config.methods[0]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     problem, design, y = _shared_start(config, seed)
@@ -177,7 +174,7 @@ def run_bo(
         refit = i < config.refit_until or (i - config.refit_until) % config.refit_every == 0
         fit_t0 = time.perf_counter()
         try:
-            start = model.hyper.lengthscales if model else np.full(config.dim, gp.LENGTHSCALE_START)
+            start = model.lengthscales if model else np.full(config.dim, gp.LENGTHSCALE_START)
             model = (gp.fit if refit else gp.build)(design, y, start)
         except gp.SurrogateFitError:
             # keep the stale model, or fail with none: a rebuild would redo the

@@ -49,18 +49,11 @@ class SurrogateFitError(RuntimeError):
 
 
 @dataclass
-class GpHyper:
-    lengthscales: np.ndarray
-    tau_sq: float
-    nugget: float
-
-
-@dataclass
 class GpModel:
     """Fitted surrogate state.
 
     `chol` is the lower Cholesky factor of the unit-scale matrix C + g*I
-    (correlations plus nugget), so tau_sq * (chol @ chol.T) reproduces the
+    (correlations plus g = `nugget`), so tau_sq * (chol @ chol.T) gives the
     kernel matrix plus effective jitter; `alpha` is (C + g*I)^-1 applied to
     the centered outputs.  `chol` is C-contiguous, so `chol.T` is the
     Fortran-ordered upper factor that `dtrtrs` reads without a copy.
@@ -68,7 +61,9 @@ class GpModel:
 
     design: np.ndarray
     y_mean: float
-    hyper: GpHyper
+    lengthscales: np.ndarray
+    tau_sq: float
+    nugget: float
     chol: np.ndarray
     alpha: np.ndarray
 
@@ -158,13 +153,13 @@ def build(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpMode
     lengthscales = _check_lengthscales(lengthscales, design.shape[1])
 
     y_mean = float(y.mean())
-    yc = y - y_mean
-    _, low, g, alpha, _, tau_sq = _profiled(design, yc, lengthscales)
-    hyper = GpHyper(lengthscales=lengthscales.copy(), tau_sq=tau_sq, nugget=g)
+    _, low, g, alpha, _, tau_sq = _profiled(design, y - y_mean, lengthscales)
     return GpModel(
         design=design,
         y_mean=y_mean,
-        hyper=hyper,
+        lengthscales=lengthscales.copy(),
+        tau_sq=tau_sq,
+        nugget=g,
         chol=np.ascontiguousarray(low),
         alpha=alpha,
     )
@@ -266,13 +261,13 @@ def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
         )
     if not np.isfinite(queries).all():
         raise ValueError("queries must not contain infs or NaNs")
-    rho = _corr(queries, model.design, model.hyper.lengthscales)
+    rho = _corr(queries, model.design, model.lengthscales)
     mean = model.y_mean + rho @ model.alpha
     # chol.T is the upper factor U = L'; solving U' w = rho' is L w = rho'.
     # This is the call SciPy makes for a C-ordered lower factor, and its bits
     # differ from solving with the Fortran-ordered L itself.
     w = _solved(dtrtrs(model.chol.T, rho.T, lower=0, trans=1), "dtrtrs")
-    var = model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
+    var = model.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
     return rho, w, mean, np.sqrt(var)
 
 
@@ -293,10 +288,10 @@ def predict_grad(
     query = np.asarray(query, dtype=float).reshape(1, -1)
     rho, w, mean, sd = _moments(model, query)
     # d rho_i / d x_p = rho_i * (-2 (x_p - X_ip) / ls_p)
-    j = rho.T * (-2.0 * (query - model.design) / model.hyper.lengthscales)
+    j = rho.T * (-2.0 * (query - model.design) / model.lengthscales)
     dmean = j.T @ model.alpha
     if sd[0] <= 0.0:
         return float(mean[0]), 0.0, dmean, np.zeros_like(dmean)
     # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w = U^-1 w
     v = _solved(dtrtrs(model.chol.T, w[:, 0], lower=0, trans=0), "dtrtrs")
-    return float(mean[0]), float(sd[0]), dmean, -model.hyper.tau_sq * (j.T @ v) / sd[0]
+    return float(mean[0]), float(sd[0]), dmean, -model.tau_sq * (j.T @ v) / sd[0]

@@ -1,23 +1,52 @@
-"""Batched nearest-neighbour queries with deterministic tie-breaking.
+"""Distances under L1, L2 and L-inf, and batched nearest-neighbour queries.
 
-Every query is answered by one exact scan: the distances from a block of
-queries to all N points are computed in a single pass, and each row takes
-its first minimum, so ties always resolve to the smallest index with no
-second pass.  A space-partitioning tree does not pay here: at the walk's
-dimensions (P up to 100) it visits nearly every leaf, and its pick among
-equidistant points is arbitrary, so it would need a tie re-check on top.
+`nearest_batch` answers every query by one exact scan: the `cdist` distances
+from a block of queries to all N points, each row taking its first minimum,
+so ties resolve to the smallest index with no second pass.  A
+space-partitioning tree does not pay here: at the walk's dimensions (P up to
+100) it visits nearly every leaf, and its pick among equidistant points is
+arbitrary, so it would need a tie re-check on top.
+
+`distance` is the query's own arithmetic under L-inf, ties included.  Under
+L1 and L2 it and `cdist` sum in different orders, so the two can differ by
+about P * eps relative: that is why `vorcands._PAIR_MARGIN` exists.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 from scipy.spatial.distance import cdist
-
-from .metrics import Metric
 
 # Cap on the element count of one distance block (query rows x N doubles);
 # 2**21 doubles keep a block at 16 MB whatever the query batch size.
 _CHUNK_ELEMS = 2**21
+
+
+class Metric(enum.Enum):
+    L1 = "l1"
+    L2 = "l2"
+    LINF = "linf"
+
+    @property
+    def p(self) -> float:
+        """Minkowski exponent, usable directly with scipy spatial routines."""
+        return {Metric.L1: 1.0, Metric.L2: 2.0, Metric.LINF: np.inf}[self]
+
+
+def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between points under `metric`, broadcasting over leading axes.
+
+    `a` and `b` are arrays whose last axis is the coordinate axis; the result
+    has the broadcast shape of the leading axes (a scalar for two points).
+    """
+    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    if metric is Metric.L1:
+        return diff.sum(axis=-1)
+    if metric is Metric.L2:
+        return np.sqrt((diff * diff).sum(axis=-1))
+    return diff.max(axis=-1)
 
 
 def nearest_batch(points: np.ndarray, queries: np.ndarray, metric: Metric) -> np.ndarray:

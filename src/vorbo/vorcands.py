@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn_index
-from .metrics import Metric, distance
+from .nn_index import Metric, distance
 from .sampling import lhs
 
 #: Walks bracket the boundary within 2^-30 ~ 1e-9; the fallback bisection
@@ -63,8 +63,7 @@ BISECTION_ITERS = 30
 _NORM_SLACK = 1e-9
 
 #: Under L1 and L2 a blocker settles an upper end unqueried only if nearer by
-#: _PAIR_MARGIN * P * d(origin): `distance` and the query's `cdist` sum in
-#: different orders, each within about P * eps.
+#: _PAIR_MARGIN * P * d(origin), which covers the rounding `nn_index` describes.
 _PAIR_MARGIN = 16 * np.finfo(float).eps
 
 #: A direction shorter than this (a precandidate on its design point, or a

@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import binomtest
 
 from vorbo import acquisition, gp, sampling
-from vorbo.metrics import Metric, distance
+from vorbo.nn_index import Metric, distance
 from vorbo.vorcands import scheme_final, vorwalk
 
 
@@ -192,7 +192,7 @@ def test_criterion_3_gp_oracle_equivalence():
         return np.exp(-(((a[:, None, :] - b[None, :, :]) ** 2) / ls).sum(axis=-1))
 
     yc = y - y.mean()
-    a_mat = corr(design, design) + model.hyper.nugget * np.eye(20)
+    a_mat = corr(design, design) + model.nugget * np.eye(20)
     alpha = np.linalg.solve(a_mat, yc)
     tau_sq = max(float(yc @ alpha) / 20.0, 1e-12)
     queries = rng.random((40, 3))
@@ -201,7 +201,7 @@ def test_criterion_3_gp_oracle_equivalence():
     var_oracle = tau_sq * np.maximum(1.0 - (np.linalg.solve(a_mat, rho.T).T * rho).sum(axis=1), 0.0)
 
     mean, sd = gp.predict(model, queries)
-    assert abs(model.hyper.tau_sq - tau_sq) <= 1e-10
+    assert abs(model.tau_sq - tau_sq) <= 1e-10
     assert np.max(np.abs(mean - mean_oracle)) <= 1e-10
     assert np.max(np.abs(sd - np.sqrt(var_oracle))) <= 1e-10
 

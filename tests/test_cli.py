@@ -142,12 +142,17 @@ def test_run_config_file_with_flag_override(tmp_path):
     assert meta["settings"]["problem"] == "ackley"
 
 
-def test_run_rejects_unknown_config_key(tmp_path):
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = ackley\nwalks = 7\n")
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg)])
     assert exc.value.code == 2
+    cfg.write_text("problem = ackley\ndim 3\n")  # no '=' at all
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: expected 'key = value', got 'dim 3'" in capsys.readouterr().err
 
 
 def test_run_rejects_missing_config_file(tmp_path):

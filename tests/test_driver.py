@@ -31,7 +31,7 @@ def _content(records):
 
 def test_budget_one_past_init_yields_single_record():
     config = _config(budget=7)  # n_init = 3 * 2 = 6
-    records = run_bo(config, seed=3)
+    records = run_bo(config, seed=3, method="vor")
     assert len(records) == 1
     rec = records[0]
     assert rec.iteration == 7
@@ -42,7 +42,7 @@ def test_budget_one_past_init_yields_single_record():
 
 def test_record_count_and_running_minimum():
     config = _config(budget=12)
-    records = run_bo(config, seed=1)
+    records = run_bo(config, seed=1, method="vor")
     assert len(records) == 6
     assert [r.iteration for r in records] == list(range(7, 13))
     best = np.array([r.y_best for r in records])
@@ -55,7 +55,8 @@ def test_record_count_and_running_minimum():
 
 def test_reruns_are_identical():
     config = _config(budget=11)
-    assert _content(run_bo(config, seed=5)) == _content(run_bo(config, seed=5))
+    first, second = (run_bo(config, seed=5, method="vor") for _ in range(2))
+    assert _content(first) == _content(second)
 
 
 @pytest.mark.parametrize("method", driver.METHODS)
@@ -92,7 +93,7 @@ def test_duplicate_proposals_get_perturbed(monkeypatch):
         return anchor["x"].copy(), 0.0
 
     monkeypatch.setattr(driver, "_propose", resubmit_first_row)
-    records = run_bo(config, seed=6)
+    records = run_bo(config, seed=6, method="vor")
     for rec in records:
         offset = np.abs(rec.x - anchor["x"]).max()
         assert 0.0 < offset <= driver._PERTURB_HALFWIDTH
@@ -108,7 +109,7 @@ def test_refit_schedule_counts_acquisition_iterations(monkeypatch):
         return real_fit(design, y, init, *args, **kwargs)
 
     monkeypatch.setattr(driver.gp, "fit", counting_fit)
-    run_bo(config, seed=7)
+    run_bo(config, seed=7, method="vor")
     # full refits on iterations 0,1 then every 3rd from iteration 2: 2,5,8
     assert seen_sizes == [6 + i for i in (0, 1, 2, 5, 8)]
 
@@ -138,7 +139,7 @@ def test_fit_and_rebuild_failure_keeps_the_previous_model(monkeypatch):
         return real_propose(method, model, *args)
 
     monkeypatch.setattr(driver, "_propose", recording_propose)
-    records = run_bo(config, seed=8)
+    records = run_bo(config, seed=8, method="vor")
     assert len(records) == 4
     assert all(np.isfinite(r.y) for r in records)
     assert [m.design.shape[0] for m in models] == [6, 7, 7, 7]
@@ -167,12 +168,12 @@ def test_each_fit_starts_from_the_held_model(monkeypatch):
     # call is not recorded
     calls = {"fit": recording(gp.fit), "build": recording(gp.build)}
     monkeypatch.setattr(driver, "gp", SimpleNamespace(**{**vars(gp), **calls}))
-    run_bo(config, seed=8)
+    run_bo(config, seed=8, method="vor")
     assert len(starts) == 4 and len(models) == 2
     np.testing.assert_array_equal(starts[0], np.full(config.dim, gp.LENGTHSCALE_START))
     assert held[0] is None and held[2] is held[3] is models[1]
     for start, model in zip(starts[1:], held[1:]):
-        np.testing.assert_array_equal(start, model.hyper.lengthscales)
+        np.testing.assert_array_equal(start, model.lengthscales)
     # the first fit moved, so a start from LENGTHSCALE_START would differ
     assert not np.array_equal(starts[1], starts[0])
 
@@ -184,7 +185,7 @@ def test_fit_and_rebuild_failure_on_the_first_iteration_fails_the_cell(monkeypat
     monkeypatch.setattr(driver.gp, "build", _failing_from(0, gp.build))
     config = _config(budget=8)
     with pytest.raises(gp.SurrogateFitError, match="synthetic failure"):
-        run_bo(config, seed=0)
+        run_bo(config, seed=0, method="vor")
     records, failures = run_suite(config)
     assert failures == [("vor", 0, "SurrogateFitError: synthetic failure")]
     assert len(records) == 1 and records[0].iteration == -1 and np.isnan(records[0].y)
@@ -207,7 +208,7 @@ def test_suite_isolates_failing_cells(monkeypatch):
 
     real_run_bo = driver.run_bo
 
-    def run_or_explode(config, seed, method=None):
+    def run_or_explode(config, seed, method):
         if seed == 1:
             raise RuntimeError("synthetic cell crash")
         return real_run_bo(config, seed, method)
@@ -237,8 +238,12 @@ def test_config_validation_errors():
         _config(budget=6).validate()  # equal to n_init
     with pytest.raises(ValueError, match="unknown methods"):
         _config(methods=("vor", "grid")).validate()
+    with pytest.raises(ValueError, match="need at least one method"):
+        _config(methods=()).validate()
     with pytest.raises(ValueError, match="seed"):
         _config(seeds=()).validate()
+    with pytest.raises(ValueError, match=r"seeds must be >= 0, got -1"):
+        _config(seeds=(-1,)).validate()
     with pytest.raises(ValueError, match="dim"):
         _config(dim=0).validate()
     with pytest.raises(ValueError, match="refit"):
@@ -267,4 +272,6 @@ def test_config_rejects_a_count_below_its_floor(field):
 
 def test_unknown_problem_surfaces_at_run_time():
     with pytest.raises(ValueError, match="unknown problem"):
-        run_bo(_config(problem="sphere"), seed=0)
+        run_bo(_config(problem="sphere"), seed=0, method="vor")
+    with pytest.raises(ValueError, match="unknown method 'grid'"):
+        run_bo(_config(), seed=0, method="grid")

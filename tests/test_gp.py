@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -15,9 +17,9 @@ def _dense_moments(model, y, queries):
     mean, and inverts densely; valid only at small N.
     """
     X = model.design
-    ls = model.hyper.lengthscales
-    tau_sq = model.hyper.tau_sq
-    g = model.hyper.nugget
+    ls = model.lengthscales
+    tau_sq = model.tau_sq
+    g = model.nugget
 
     def k(a, b):
         return tau_sq * np.exp(-(((a[:, None, :] - b[None, :, :]) ** 2) / ls).sum(-1))
@@ -67,19 +69,19 @@ def _scipy_nll_and_grad(theta, design, yc):
 
 def _scipy_moments(model, queries):
     low = np.ascontiguousarray(model.chol)
-    rho = gp._corr(queries, model.design, model.hyper.lengthscales)
+    rho = gp._corr(queries, model.design, model.lengthscales)
     mean = model.y_mean + rho @ model.alpha
     w = solve_triangular(low, rho.T, lower=True)
-    sd = np.sqrt(model.hyper.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0))
+    sd = np.sqrt(model.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0))
     return low, rho, w, mean, sd
 
 
 def _scipy_predict_grad(model, query):
     query = query.reshape(1, -1)
     low, rho, w, mean, sd = _scipy_moments(model, query)
-    j = rho.T * (-2.0 * (query - model.design) / model.hyper.lengthscales)
+    j = rho.T * (-2.0 * (query - model.design) / model.lengthscales)
     v = solve_triangular(low, w[:, 0], lower=True, trans="T")
-    return mean[0], sd[0], j.T @ model.alpha, -model.hyper.tau_sq * (j.T @ v) / sd[0]
+    return mean[0], sd[0], j.T @ model.alpha, -model.tau_sq * (j.T @ v) / sd[0]
 
 
 def _random_problem(rng, n):
@@ -160,7 +162,7 @@ def test_interpolation_at_training_points():
     X, y = _fit_data(1)
     model = gp.fit(X, y, np.full(2, 0.5))
     mean, sd = gp.predict(model, X)
-    tau = np.sqrt(model.hyper.tau_sq)
+    tau = np.sqrt(model.tau_sq)
     assert np.abs(mean - y).max() < 1e-4
     assert sd.max() <= 1e-3 * tau
 
@@ -169,7 +171,7 @@ def test_sd_at_training_points_bounded_by_nugget():
     X, y = _fit_data(2)
     model = gp.fit(X, y, np.full(2, 0.5))
     _, sd = gp.predict(model, X)
-    bound = np.sqrt(model.hyper.nugget * model.hyper.tau_sq) + 1e-8
+    bound = np.sqrt(model.nugget * model.tau_sq) + 1e-8
     assert (sd <= bound).all()
 
 
@@ -178,7 +180,7 @@ def test_far_query_reverts_to_prior():
     model = gp.build(X, y, np.full(2, 0.05))
     mean, sd = gp.predict(model, np.full((1, 2), 80.0))
     assert mean[0] == pytest.approx(model.y_mean, abs=1e-9)
-    assert sd[0] == pytest.approx(np.sqrt(model.hyper.tau_sq), rel=1e-9)
+    assert sd[0] == pytest.approx(np.sqrt(model.tau_sq), rel=1e-9)
 
 
 def test_predictive_variance_nonnegative_and_deterministic():
@@ -220,10 +222,9 @@ def test_factorization_reproduces_kernel_matrix():
     X, y = _fit_data(6)
     ls = np.array([0.3, 1.2])
     model = gp.build(X, y, ls)
-    hyper = model.hyper
-    k_full = hyper.tau_sq * np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
-    reconstructed = hyper.tau_sq * (model.chol @ model.chol.T)
-    target = k_full + hyper.tau_sq * hyper.nugget * np.eye(len(X))
+    k_full = model.tau_sq * np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) / ls).sum(-1))
+    reconstructed = model.tau_sq * (model.chol @ model.chol.T)
+    target = k_full + model.tau_sq * model.nugget * np.eye(len(X))
     assert np.abs(reconstructed - target).max() <= 1e-8
 
 
@@ -282,7 +283,7 @@ def test_fit_improves_on_warm_start():
     init = np.full(2, 5.0)
     model = gp.fit(X, y, init)
     yc = y - y.mean()
-    nll_fit = gp._nll_and_grad(np.log(model.hyper.lengthscales), X, yc)[0]
+    nll_fit = gp._nll_and_grad(np.log(model.lengthscales), X, yc)[0]
     nll_init = gp._nll_and_grad(np.log(init), X, yc)[0]
     assert nll_fit <= nll_init + 1e-9
 
@@ -324,7 +325,7 @@ def test_fit_keeps_the_warm_start_when_the_optimizer_ends_worse(fun, monkeypatch
     X, y = _fit_data(14)
     init = np.full(2, 0.5)
     model = gp.fit(X, y, init)
-    np.testing.assert_allclose(model.hyper.lengthscales, init, rtol=1e-15)
+    np.testing.assert_allclose(model.lengthscales, init, rtol=1e-15)
 
 
 def test_fit_recovers_known_lengthscale():
@@ -339,7 +340,7 @@ def test_fit_recovers_known_lengthscale():
         c = np.exp(-((X - X.T) ** 2) / true_corr_len**2) + 1e-10 * np.eye(60)
         y = np.linalg.cholesky(c) @ rng.standard_normal(60)
         model = gp.fit(X, y, np.ones(1))
-        if 0.15 <= np.sqrt(model.hyper.lengthscales[0]) <= 0.6:
+        if 0.15 <= np.sqrt(model.lengthscales[0]) <= 0.6:
             hits += 1
     assert hits >= 90
 
@@ -352,7 +353,7 @@ def test_unidentifiable_data_hits_box_bound():
     y = np.array([0.0, 5.0])
     model = gp.fit(X, y, np.ones(1))
     lo, hi = gp.LENGTHSCALE_BOUNDS
-    ls = model.hyper.lengthscales[0]
+    ls = model.lengthscales[0]
     assert ls == pytest.approx(lo, rel=1e-6) or ls == pytest.approx(hi, rel=1e-6)
     mean, sd = gp.predict(model, np.array([[0.15]]))
     assert np.isfinite(mean[0]) and np.isfinite(sd[0])
@@ -362,7 +363,7 @@ def test_constant_outputs_keep_model_usable():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 2.0])
     model = gp.fit(X, y, np.ones(1))
-    assert model.hyper.tau_sq == gp.TAU_SQ_FLOOR
+    assert model.tau_sq == gp.TAU_SQ_FLOOR
     mean, sd = gp.predict(model, np.array([[0.5]]))
     assert mean[0] == pytest.approx(2.0)
     assert np.isfinite(sd[0]) and sd[0] >= 0.0
@@ -376,6 +377,8 @@ def test_non_finite_data_is_rejected_before_any_factorization(where, bad, monkey
 
     monkeypatch.setattr(gp, "minimize", no_optimizer)
     X, y = _fit_data(19, n=10)
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        gp.build(X, y[:-1], np.full(2, 0.5))
     if where == "design":
         X[4, 1] = bad
     else:
@@ -389,6 +392,32 @@ def test_non_finite_data_is_rejected_before_any_factorization(where, bad, monkey
 def test_fit_requires_two_points():
     with pytest.raises(ValueError, match="at least 2"):
         gp.fit(np.array([[0.5]]), np.array([1.0]), np.ones(1))
+
+
+def test_fit_raises_only_when_its_start_fails_to_factor(monkeypatch):
+    # a factorization that fails everywhere but at the start, or only there
+    X, y = _fit_data(20, n=12)
+    start = np.full(2, 0.5)
+    start_corr = gp._corr(X, X, np.exp(np.log(start)))  # the lengthscales fit evaluates
+    real = gp._factor_with_escalation
+
+    def factor(fails_at_start):
+        def call(corr):
+            if np.array_equal(corr, start_corr) == fails_at_start:
+                raise SurrogateFitError("synthetic failure")
+            return real(corr)
+
+        return call
+
+    monkeypatch.setattr(gp, "_factor_with_escalation", factor(False))
+    nll, grad = gp._nll_and_grad(np.log(start) + 1.0, X, y - y.mean())
+    assert nll == 1e25 and np.array_equal(grad, np.zeros(2))
+    model = gp.fit(X, y, start)
+    np.testing.assert_array_equal(model.lengthscales, np.exp(np.log(start)))
+
+    monkeypatch.setattr(gp, "_factor_with_escalation", factor(True))
+    with pytest.raises(SurrogateFitError, match="synthetic failure"):
+        gp.fit(X, y, start)
 
 
 def test_escalation_gives_up_on_indefinite_matrix():
@@ -476,8 +505,8 @@ def test_fit_determinism():
     X, y = _fit_data(12)
     a = gp.fit(X, y, np.full(2, 0.5))
     b = gp.fit(X, y, np.full(2, 0.5))
-    np.testing.assert_array_equal(a.hyper.lengthscales, b.hyper.lengthscales)
-    assert a.hyper.tau_sq == b.hyper.tau_sq
+    np.testing.assert_array_equal(a.lengthscales, b.lengthscales)
+    assert a.tau_sq == b.tau_sq
 
 
 # ---------------------------- predict_grad ----------------------------------
@@ -501,3 +530,14 @@ def test_moment_gradients_match_finite_differences():
             fd_sd = (sp[0] - sm[0]) / (2 * h)
             assert abs(dmean[p] - fd_mean) <= 1e-5 * max(1.0, abs(fd_mean))
             assert abs(dsd[p] - fd_sd) <= 1e-4 * max(1.0, abs(fd_sd))
+
+
+def test_zero_sd_gives_a_zero_sd_gradient():
+    X, y = _fit_data(21, n=10)
+    model = gp.build(X, y, np.full(2, 0.5))
+    flat = dataclasses.replace(model, tau_sq=0.0)
+    q = np.array([0.3, 0.7])
+    mean, _, dmean, _ = gp.predict_grad(model, q)
+    flat_mean, sd, flat_dmean, dsd = gp.predict_grad(flat, q)
+    assert sd == 0.0 and np.array_equal(dsd, np.zeros(2))
+    assert flat_mean == mean and np.array_equal(flat_dmean, dmean)

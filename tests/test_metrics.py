@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import minkowski_distance
 
-from vorbo.metrics import Metric, distance
+from vorbo.nn_index import Metric, distance
 
 
 def test_frozen_values_345_triangle():

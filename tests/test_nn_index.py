@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vorbo import nn_index
-from vorbo.metrics import Metric
+from vorbo.nn_index import Metric
 
 
 def _reference_nearest(points: np.ndarray, query: np.ndarray, metric: Metric) -> int:

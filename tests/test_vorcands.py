@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import Voronoi
 
 from vorbo import nn_index, vorcands
-from vorbo.metrics import Metric, distance
+from vorbo.nn_index import Metric, distance
 from vorbo.sampling import lhs
 from vorbo.vorcands import (
     BISECTION_ITERS,
