@@ -365,9 +365,11 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index("run") + 1
             file_argv = _config_argv(args.config, args.settings)
             args = parser.parse_args([*argv[:at], *file_argv, *argv[at:]])
-        out_dir = os.path.dirname(getattr(args, "out", None) or "")
-        if out_dir and not os.path.isdir(out_dir):
-            raise ValueError(f"output directory {out_dir} does not exist")
+        out = getattr(args, "out", None)
+        if out is not None and (not out or os.path.isdir(out)):
+            raise ValueError(f"--out must name a file, got {out!r}")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"--out {out}: output directory {os.path.dirname(out)} does not exist")
         return args.func(args)
     except ValueError as exc:
         args.parser.error(str(exc))  # exits 2 with the subcommand's usage

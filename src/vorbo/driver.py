@@ -33,6 +33,7 @@ import numpy as np
 
 from . import acquisition, gp
 from .bench import TestProblem, check_problem, make_problem
+from .nn_index import Metric, distance
 from .sampling import lhs, sobol
 from .vorcands import scheme_final
 
@@ -183,11 +184,13 @@ def run_bo(config: ExperimentConfig, seed: int, method: str) -> list[TrajectoryR
                 raise
         fit_seconds = time.perf_counter() - fit_t0
 
-        x_new, cand_seconds = _propose(method, model, design, y, i, n_cand, rng)
+        proposal, cand_seconds = _propose(method, model, design, y, i, n_cand, rng)
 
-        if np.min(np.abs(design - x_new[None, :]).max(axis=1)) <= _DUPLICATE_TOL:
+        # the clip can undo the noise (at a corner, all of it), so redraw it
+        x_new = proposal
+        while distance(Metric.LINF, design, x_new).min() <= _DUPLICATE_TOL:
             noise = rng.uniform(-_PERTURB_HALFWIDTH, _PERTURB_HALFWIDTH, config.dim)
-            x_new = np.clip(x_new + noise, 0.0, 1.0)
+            x_new = np.clip(proposal + noise, 0.0, 1.0)
         y_new = float(problem.evaluate(x_new))
         design = np.vstack([design, x_new])
         y = np.append(y, y_new)

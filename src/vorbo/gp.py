@@ -43,6 +43,9 @@ FIT_MAXITER = 100
 NUGGET = 1e-8
 NUGGET_MAX = 1e-4
 
+#: What `_nll_and_grad` returns, with a zero gradient, where no nugget factors C.
+_UNFACTORABLE_NLL = 1e25
+
 
 class SurrogateFitError(RuntimeError):
     """Raised when no positive-definite factorization can be produced."""
@@ -191,7 +194,7 @@ def _nll_and_grad(
     try:
         corr, low, _, alpha, quad, tau_sq = _profiled(design, yc, ls)
     except SurrogateFitError:
-        return 1e25, np.zeros_like(theta)
+        return _UNFACTORABLE_NLL, np.zeros_like(theta)
     logdet = 2.0 * float(np.log(np.diag(low)).sum())
     nll = 0.5 * n * np.log(tau_sq) + 0.5 * logdet
 
@@ -214,7 +217,8 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     outputs over log-lengthscales inside `LENGTHSCALE_BOUNDS`,
     starting from `lengthscales`.  The returned model is never worse
     (in likelihood) than the warm start; lengthscales landing on a box bound
-    are legitimate fits for unidentifiable data, not errors.
+    are legitimate fits for unidentifiable data, not errors.  Raises
+    `SurrogateFitError` when the warm start's correlations cannot be factored.
     """
     design, y = _check_data(design, y)
     if design.shape[0] < 2:
@@ -239,9 +243,11 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
         bounds=[(np.log(lo), np.log(hi))] * design.shape[1],
         options={"maxiter": FIT_MAXITER},
     )
-    # L-BFGS-B only ever accepts descent steps, but guard against a
-    # pathological line search anyway: keep the better of start and result.
-    # Its first evaluation is at theta0 (already inside the box).
+    # the first evaluation is at theta0 (inside the box): a start that cannot
+    # be factored stops L-BFGS-B there, and `build` could only fail again
+    if values[0] == _UNFACTORABLE_NLL:
+        raise SurrogateFitError("correlation matrix at the warm start cannot be factored")
+    # L-BFGS-B accepts only descent steps; a pathological line search keeps the start
     theta = res.x
     if not np.isfinite(res.fun) or res.fun > values[0]:
         theta = theta0

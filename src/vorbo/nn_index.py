@@ -7,9 +7,9 @@ space-partitioning tree does not pay here: at the walk's dimensions (P up to
 100) it visits nearly every leaf, and its pick among equidistant points is
 arbitrary, so it would need a tie re-check on top.
 
-`distance` is the query's own arithmetic under L-inf, ties included.  Under
-L1 and L2 it and `cdist` sum in different orders, so the two can differ by
-about P * eps relative: that is why `vorcands._PAIR_MARGIN` exists.
+`distance` is the query's own arithmetic under every metric, ties included:
+it sums L1 and L2 coordinates left to right, as `cdist` does, where NumPy's
+pairwise `.sum` rounds differently from about eight coordinates on.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     `a` and `b` are arrays whose last axis is the coordinate axis; the result
     has the broadcast shape of the leading axes (a scalar for two points).
+    Sums run left to right, so the bits are those of `nearest_batch`'s `cdist`.
     """
     diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     if metric is Metric.L1:
-        return diff.sum(axis=-1)
+        return np.cumsum(diff, axis=-1)[..., -1]
     if metric is Metric.L2:
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
     return diff.max(axis=-1)
 
 

@@ -24,12 +24,12 @@ evaluated where they land, outside the unit cube included --
 nearest-neighbour identity is well defined on all of R^P -- so the walk
 tracks the true cell face even when that face lies beyond a cube wall.
 
-The upper end needs no scan: one pair of distances shows that the last
-blocker beats x_n there, and only where that pair could round the other
-way does a batched query check it.  A walk that still fails (its crossing
-did not fall, rounding left its upper end in the cell, or the bracket would
-reach past t = 0 or t = 1) reruns the K-round bisection on the owner
-predicate, the single fallback path, and is flagged `uncertified`.
+The upper end needs no scan: one pair of distances in the query's own
+arithmetic (`nn_index.distance`) shows that the last blocker beats x_n
+there, nearer or tied with the smaller index.  A walk that fails (its
+crossing did not fall, rounding left its upper end in the cell, or the
+bracket would reach past t = 0 or t = 1) reruns the K-round bisection on the
+owner predicate, the single fallback path, and is flagged `uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
 whose full step never leaves its origin's cell is flagged `boundary_hit`.
@@ -61,10 +61,6 @@ BISECTION_ITERS = 30
 #: Directions are scaled to sqrt(P) * (1 + _NORM_SLACK) so their norm lands
 #: strictly past sqrt(P) rather than exactly on it.
 _NORM_SLACK = 1e-9
-
-#: Under L1 and L2 a blocker settles an upper end unqueried only if nearer by
-#: _PAIR_MARGIN * P * d(origin), which covers the rounding `nn_index` describes.
-_PAIR_MARGIN = 16 * np.finfo(float).eps
 
 #: A direction shorter than this (a precandidate on its design point, or a
 #: vanishing normal draw) is unusable and is redrawn uniformly at random.
@@ -202,12 +198,11 @@ def vorwalk(
     (rounding) goes to the fallback.
 
     An upper end is certified when its blocker beats the origin there
-    (nearer, or tied with the smaller index): exactly by `distance` under
-    L-inf, which is the query's own arithmetic, by a rounding margin
-    (`_PAIR_MARGIN`) under L1 and L2, and by one batched query for the
-    rest.  Walks that fail rerun a K-round bisection on the owner predicate
-    and are flagged `uncertified`.  The returned points are the bracket
-    midpoints, clamped to the cube.
+    (nearer, or tied with the smaller index) by `distance`, the query's own
+    arithmetic, so the pair decides it as a query would.  Walks that fail
+    rerun a K-round bisection on the owner predicate and are flagged
+    `uncertified`.  The returned points are the bracket midpoints, clamped
+    to the cube.
 
     A candidate is flagged `boundary_hit` when the origin's cell never
     ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
@@ -254,22 +249,14 @@ def vorwalk(
         live = live[moved]
         t[live], blocker[live] = cross[moved], owner[moved]
 
-    # certify each closed upper end by the pair (blocker, origin) alone, or,
-    # where rounding could flip that pair, by one batched query
+    # certify each closed upper end by the pair (blocker, origin) alone
     t_lo, t_hi = _bracket(t, width)
     certified &= (t == 1.0) | ((t_lo >= 0.0) & (t_hi < 1.0))
     up = np.flatnonzero(certified & (t < 1.0))
     probes = anchors[up] + t_hi[up, None] * directions[up]
     d_blocker = distance(metric, probes, design[blocker[up]])
     d_origin = distance(metric, probes, anchors[up])
-    if metric is Metric.LINF:  # `distance` is the query's arithmetic here, ties included
-        tie = (d_blocker == d_origin) & (blocker[up] < origins[up])
-        beaten = (d_blocker < d_origin) | tie
-    else:
-        beaten = d_blocker < d_origin - _PAIR_MARGIN * dim * d_origin
-    if not beaten.all():
-        rest = up[~beaten]
-        certified[rest] = nn_index.nearest_batch(design, probes[~beaten], metric) != origins[rest]
+    certified[up] = (d_blocker < d_origin) | ((d_blocker == d_origin) & (blocker[up] < origins[up]))
 
     # the fallback: bisect t in [0, 1] on the owner predicate
     redo = np.flatnonzero(~certified)

@@ -250,12 +250,26 @@ def test_run_no_timing_reruns_are_byte_identical(tmp_path):
     assert meta_a.replace("a.csv", "") == meta_b.replace("b.csv", "")
 
 
+def _bad_outs(tmp_path):
+    """`--out` values that name no writable file, each with its message."""
+    (tmp_path / "adir").mkdir()
+    return [
+        (str(tmp_path / "absent" / "x.csv"), "output directory"),
+        (str(tmp_path / "adir"), "--out must name a file"),
+        ("", "--out must name a file, got ''"),
+    ]
+
+
 def test_run_rejects_missing_output_directory(tmp_path, capsys, cells):
-    with pytest.raises(SystemExit) as exc:
-        main(_run_args(tmp_path / "absent" / "x.csv"))
-    assert exc.value.code == 2
-    assert "output directory" in capsys.readouterr().err
+    for out, message in _bad_outs(tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(_run_args(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "\nvorbo run: error: --out " in err and message in err
     assert cells == []
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 # ----------------------------- trajectory CSV -------------------------------
@@ -429,10 +443,14 @@ def test_boundary_study_rejects_missing_output_directory(tmp_path, monkeypatch, 
         raise AssertionError("the study ran")
 
     monkeypatch.setattr("vorbo.cli.boundary_proportion", walk)
-    with pytest.raises(SystemExit) as exc:
-        main(["boundary-study", "--out", str(tmp_path / "absent" / "study.csv")])
-    assert exc.value.code == 2
-    assert "output directory" in capsys.readouterr().err
+    for out, message in _bad_outs(tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary-study", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "\nvorbo boundary-study: error: --out " in err and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 # ------------------------------- candidates ---------------------------------

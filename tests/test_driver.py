@@ -85,18 +85,27 @@ def test_sobol_method_advances_through_sequence():
 
 
 def test_duplicate_proposals_get_perturbed(monkeypatch):
-    config = _config(budget=9)
-    anchor = {}
+    # every proposal repeats the first design row, or a cube corner; at the
+    # corner the clip can undo the noise, so it is redrawn until the point
+    # is new (seed 0 draws such noise)
+    config = _config(budget=12)
+    for anchor, seed in ((None, 6), (np.array([1.0, 0.0]), 0)):
+        held = {}
 
-    def resubmit_first_row(method, model, design, y, iteration, n_cand, rng):
-        anchor.setdefault("x", design[0].copy())
-        return anchor["x"].copy(), 0.0
+        def resubmit(method, model, design, y, iteration, n_cand, rng):
+            held.setdefault("x", design[0].copy() if anchor is None else anchor)
+            return held["x"].copy(), 0.0
 
-    monkeypatch.setattr(driver, "_propose", resubmit_first_row)
-    records = run_bo(config, seed=6, method="vor")
-    for rec in records:
-        offset = np.abs(rec.x - anchor["x"]).max()
-        assert 0.0 < offset <= driver._PERTURB_HALFWIDTH
+        monkeypatch.setattr(driver, "_propose", resubmit)
+        xs = np.array([rec.x for rec in run_bo(config, seed=seed, method="vor")])
+        gaps = np.abs(xs[:, None, :] - xs[None, :, :]).max(axis=2)
+        assert (gaps[np.triu_indices(len(xs), 1)] > driver._DUPLICATE_TOL).all()
+        if anchor is not None:  # the corner is new when first proposed
+            np.testing.assert_array_equal(xs[0], anchor)
+            xs = xs[1:]
+        offsets = np.abs(xs - held["x"]).max(axis=1)
+        assert (offsets > driver._DUPLICATE_TOL).all()
+        assert (offsets <= driver._PERTURB_HALFWIDTH).all()
 
 
 def test_refit_schedule_counts_acquisition_iterations(monkeypatch):

@@ -401,8 +401,11 @@ def test_fit_raises_only_when_its_start_fails_to_factor(monkeypatch):
     start_corr = gp._corr(X, X, np.exp(np.log(start)))  # the lengthscales fit evaluates
     real = gp._factor_with_escalation
 
+    calls = []
+
     def factor(fails_at_start):
         def call(corr):
+            calls.append(corr)
             if np.array_equal(corr, start_corr) == fails_at_start:
                 raise SurrogateFitError("synthetic failure")
             return real(corr)
@@ -411,13 +414,16 @@ def test_fit_raises_only_when_its_start_fails_to_factor(monkeypatch):
 
     monkeypatch.setattr(gp, "_factor_with_escalation", factor(False))
     nll, grad = gp._nll_and_grad(np.log(start) + 1.0, X, y - y.mean())
-    assert nll == 1e25 and np.array_equal(grad, np.zeros(2))
+    assert nll == gp._UNFACTORABLE_NLL and np.array_equal(grad, np.zeros(2))
     model = gp.fit(X, y, start)
     np.testing.assert_array_equal(model.lengthscales, np.exp(np.log(start)))
 
+    # a start that fails is tried once: no `build` climbs its ladder again
     monkeypatch.setattr(gp, "_factor_with_escalation", factor(True))
-    with pytest.raises(SurrogateFitError, match="synthetic failure"):
+    calls.clear()
+    with pytest.raises(SurrogateFitError, match="warm start cannot be factored"):
         gp.fit(X, y, start)
+    assert len(calls) == 1
 
 
 def test_escalation_gives_up_on_indefinite_matrix():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.spatial import minkowski_distance
+from scipy.spatial.distance import cdist
 
 from vorbo.nn_index import Metric, distance
 
@@ -14,13 +14,25 @@ def test_frozen_values_345_triangle():
 
 
 def test_matches_scipy_minkowski():
+    # `distance` is bit for bit the arithmetic of `nearest_batch`'s query, so
+    # a pair of distances decides what a query would (the walk's upper ends
+    # rest on this).  NumPy's pairwise `.sum` rounds differently from P = 8
     rng = np.random.default_rng(11)
-    a = rng.random((40, 6))
-    b = rng.random((40, 6))
-    for metric in Metric:
-        np.testing.assert_allclose(
-            distance(metric, a, b), minkowski_distance(a, b, p=metric.p), rtol=0, atol=0
-        )
+    for dim in (1, 6, 7, 8, 10, 100, 101):
+        queries = 3.0 * rng.random((30, dim)) - 1.0  # most lie outside the cube
+        points = rng.random((40, dim))
+        # exact ties at the centre: for x in [1/2, 3/4], 1 - x and both gaps
+        # to 1/2 are exact, so x and its partial mirror tie under any order;
+        # x reversed ties with x in exact arithmetic only
+        x = 0.5 + 0.25 * rng.random((10, dim))
+        mirror = np.where(rng.random((10, dim)) < 0.5, 1.0 - x, x)
+        queries = np.vstack([queries, np.full((1, dim), 0.5), np.zeros((1, dim))])
+        points = np.vstack([points, x, mirror, x[:, ::-1]])
+        for metric in Metric:
+            want = cdist(queries, points, "minkowski", p=metric.p)
+            got = distance(metric, queries[:, None, :], points[None, :, :])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(want[-2, 40:50], want[-2, 50:60])
 
 
 def test_broadcasting():

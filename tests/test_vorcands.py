@@ -213,14 +213,12 @@ def test_nn_query_rows_per_walk_are_bounded(metric, k, nn_queries, monkeypatch):
     assert cs.bracket_width == 0.5**k
     assert not cs.uncertified.any()
     # each round queries only the live walks' lower ends, so rows never
-    # grow; a last query, if any, takes the upper ends no pair settled
+    # grow, and the upper ends take no query at all
     rows = [len(q) for q in nn_queries]
     upper_ends = {row.tobytes() for row in _upper_ends(design, cs)}
-    last_is_upper = all(row.tobytes() in upper_ends for row in nn_queries[-1])
-    rounds, upper = (rows[:-1], rows[-1:]) if last_is_upper else (rows, [])
-    assert rounds[0] == 64 and all(a >= b for a, b in zip(rounds, rounds[1:]))
-    assert len(rounds) <= design.shape[0] + 1
-    assert sum(upper) <= (~cs.boundary_hit).sum()
+    assert not any(row.tobytes() in upper_ends for q in nn_queries for row in q)
+    assert rows[0] == 64 and all(a >= b for a, b in zip(rows, rows[1:]))
+    assert len(rows) <= design.shape[0] + 1
     assert sum(rows) <= 6 * 64  # 30 rows per walk under bisection
 
 
@@ -273,8 +271,8 @@ def _rect_grown_design(dim, rng):
     "metric, dim", [(Metric.LINF, 10)] + [(m, p) for m in (Metric.L1, Metric.L2) for p in (10, 100)]
 )
 def test_pair_check_agrees_with_the_query(metric, dim):
-    # the query's own arithmetic (cdist), not `distance`'s, must find no
-    # certified upper end still owned by its origin
+    # the query itself must find no certified upper end still owned by its
+    # origin: the pair rule and `nearest_batch` decide every end alike
     rng = np.random.default_rng(107)
     if metric is Metric.LINF:
         design = _rect_grown_design(dim, rng)
@@ -292,21 +290,6 @@ def test_pair_check_agrees_with_the_query(metric, dim):
         d = distance(metric, design[None, :, :], upper_ends[:, None, :])
         d_origin = d[np.arange(len(d)), cs.origin[~cs.boundary_hit]]
         assert (d_origin == d.min(axis=1)).any()
-
-
-@pytest.mark.parametrize("metric", [Metric.L1, Metric.L2])
-def test_infinite_margin_queries_every_upper_end(metric, nn_rows, monkeypatch):
-    rng = np.random.default_rng(108)
-    design = rng.random((100, 10))
-    origins, directions = _random_batch(design, 200, rng)
-    base = vorwalk(design, origins, directions, metric)
-    monkeypatch.setattr(vorcands, "_PAIR_MARGIN", np.inf)
-    nn_rows.clear()
-    cs = vorwalk(design, origins, directions, metric)
-    assert not cs.uncertified.any()
-    for field in ("points", "boundary_hit", "uncertified", "t_lower"):
-        np.testing.assert_array_equal(getattr(cs, field), getattr(base, field))
-    assert nn_rows[-1] == (~cs.boundary_hit).sum() > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -433,7 +416,7 @@ def test_l1_crossing_matches_bisection(dim, strategy):
     assert (_l1_gap(a, u, x, t + 1e-9) < 0.0).all()
 
 
-def test_l1_crossing_on_a_flat_stretch():
+def test_l1_crossing_on_a_flat_stretch(nn_rows):
     # from a = (1/4, 1/4) along u = (1, 0), the blocker x = (1/2, 1/2) ties
     # with a from t = 1/4 on: g = 1/2 - 2 min(t, 1/4).  A blocker with the
     # smaller index owns the tie, so the walk leaves where the tie starts;
@@ -445,14 +428,18 @@ def test_l1_crossing_on_a_flat_stretch():
         assert _bisected_crossing(*args)[0] == pytest.approx(expected, abs=1e-15)
 
     # the same tie in a walk: from the larger index it stops at x_0 = 1/2,
-    # from the smaller it runs to the wall
+    # from the smaller it runs to the wall.  The stopped walk's upper end is
+    # the exact tie, which its blocker owns by index: two lower-end rounds
+    # and no query at the upper end
     step = np.array([[np.sqrt(2.0) * (1 + 1e-9), 0.0]])
     for design, hit in ((np.vstack([x, a]), False), (np.vstack([a, x]), True)):
         origin = np.flatnonzero((design == a).all(axis=1))
+        nn_rows.clear()
         cs = vorwalk(design, origin, step, Metric.L1)
         assert cs.boundary_hit[0] == hit and not cs.uncertified[0]
         if not hit:
             np.testing.assert_allclose(cs.points[0], [0.5, 0.25], atol=1e-8)
+            assert nn_rows == [1, 1]
 
 
 def test_l1_rect_walk_never_leaves_past_a_far_blocker():
