@@ -13,8 +13,8 @@ point a = x_n, picks a direction u, and looks for the first t in [0, 1] at
 which a + t*u leaves the cell of x_n.  Cells are star-shaped around their
 design point under the metrics used here, so "a + t*u is still in the cell"
 is monotone in t.  The walk finds the crossing by blocker-shooting: a walk
-at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K ([1 -
-2^-K, 1] at t = 1, where it starts), and each round probes its lower end.
+at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K, starting
+at the top bracket [1 - 2^-K, 1], and each round probes its lower end.
 If the probe's nearest design point x_j (ties to the smaller index) is
 x_n, that end is certified; otherwise t jumps to the exact crossing of the
 bisector of x_n and x_j with the ray (closed form under every metric).
@@ -133,8 +133,8 @@ def _crossing(
     elsewhere; the two differ where g stays 0 over an interval, as under
     L-inf when x and a share the coordinate u is longest in, and under L1
     when the coordinates u points toward x in hold half of |x - a|_1.  The
-    crossing is in closed form under every metric; infinite means the walk
-    never leaves.  Under L1 it is 1.0 wherever the distances at t = 1 keep a.
+    crossing is the exact closed form under every metric, with no distance
+    evaluated; it may exceed 1, and infinite means the ray never leaves.
     """
     w = blockers - anchors
     if metric is Metric.L2:
@@ -171,16 +171,7 @@ def _crossing(
     found, slope = past[rows, k], s_from[rows, k]
     cross = np.where(found, 0.0, np.inf)
     np.divide(half - c_below[rows, k], slope, out=cross, where=found & (slope > 0.0))
-    # t = 1 is the origin's wherever the distances there say so
-    probes = anchors + directions
-    d_blocker, d_origin = distance(metric, probes, blockers), distance(metric, probes, anchors)
-    return np.where(np.where(strict, d_blocker > d_origin, d_blocker >= d_origin), 1.0, cross)
-
-
-def _bracket(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket ends around crossings t; t = 1 (the walk never left) gives [1 - width, 1]."""
-    t_lo = np.where(t == 1.0, 1.0 - width, t - 0.5 * width)
-    return t_lo, t_lo + width
+    return cross
 
 
 def vorwalk(
@@ -189,13 +180,14 @@ def vorwalk(
     """Run a batch of walks against `design` under `metric`.
 
     Each walk c starts at ``design[origins[c]]`` and shoots along
-    ``directions[c]`` from t = 1.  With K = `BISECTION_ITERS`, each round
-    queries the lower end of every live walk's bracket [t - 2^-(K+1), t +
-    2^-(K+1)] ([1 - 2^-K, 1] at t = 1) in one batch.  A walk whose origin
-    owns it is done; any other jumps t to the crossing of that owner's
-    bisector with the ray, strictly lower in exact arithmetic, and keeps the
-    owner as its blocker.  A walk whose crossing does not lower t
-    (rounding) goes to the fallback.
+    ``directions[c]``.  With K = `BISECTION_ITERS`, a walk at t holds the
+    bracket [t - 2^-(K+1), t + 2^-(K+1)], and t starts at 1 - 2^-(K+1), the
+    top bracket [1 - 2^-K, 1] exactly.  Each round queries the lower end of
+    every live walk's bracket in one batch.  A walk whose origin owns it is
+    done; any other jumps t to the crossing of that owner's bisector with
+    the ray, strictly lower in exact arithmetic, and keeps the owner as its
+    blocker.  A walk whose crossing does not lower t (rounding) goes to the
+    fallback.
 
     An upper end is certified when its blocker beats the origin there
     (nearer, or tied with the smaller index) by `distance`, the query's own
@@ -223,12 +215,12 @@ def vorwalk(
         raise ValueError("origin indices out of range")
     if not np.isfinite(directions).all():
         raise ValueError("directions must be finite")
-    if not (np.sqrt((directions * directions).sum(axis=1)) > 0.0).all():
+    if not (distance(Metric.L2, directions, 0.0) > 0.0).all():
         raise ValueError("every direction must have positive norm")
 
     anchors = design[origins]
     width = 0.5**BISECTION_ITERS
-    t = np.ones(len(origins))
+    t = np.full(len(origins), 1.0 - 0.5 * width)
     blocker = origins.copy()
     certified = np.zeros(len(origins), dtype=bool)
 
@@ -236,8 +228,7 @@ def vorwalk(
     # that end, and any other owner moves the walk down to its own crossing
     live = np.arange(len(origins))
     while live.size:
-        t_lo, _ = _bracket(t[live], width)
-        probes = anchors[live] + t_lo[:, None] * directions[live]
+        probes = anchors[live] + (t[live] - 0.5 * width)[:, None] * directions[live]
         owner = nn_index.nearest_batch(design, probes, metric)
         held = owner == origins[live]
         certified[live[held]] = True
@@ -250,9 +241,9 @@ def vorwalk(
         t[live], blocker[live] = cross[moved], owner[moved]
 
     # certify each closed upper end by the pair (blocker, origin) alone
-    t_lo, t_hi = _bracket(t, width)
-    certified &= (t == 1.0) | ((t_lo >= 0.0) & (t_hi < 1.0))
-    up = np.flatnonzero(certified & (t < 1.0))
+    t_lo, t_hi = t - 0.5 * width, t + 0.5 * width
+    certified &= (t_lo >= 0.0) & (t_hi <= 1.0)
+    up = np.flatnonzero(certified & (t_hi < 1.0))
     probes = anchors[up] + t_hi[up, None] * directions[up]
     d_blocker = distance(metric, probes, design[blocker[up]])
     d_origin = distance(metric, probes, anchors[up])

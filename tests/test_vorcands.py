@@ -363,8 +363,9 @@ def test_walk_batch_validation():
 
 
 def _bisected_crossing(metric, anchors, directions, blockers, strict):
-    """The L1 crossing by 64 halvings of [0, 1] on the distances, the oracle
-    for `_crossing`'s closed form; other metrics go to `_crossing` itself."""
+    """The L1 crossing by 64 halvings of [0, 1] on the distances (1.0 where
+    t = 1 keeps the origin), the oracle for `_crossing`'s closed form cut
+    at 1; other metrics go to `_crossing` itself."""
     if metric is not Metric.L1:
         return real_crossing(metric, anchors, directions, blockers, strict)
 
@@ -405,7 +406,7 @@ def test_l1_crossing_matches_bisection(dim, strategy):
     strict = np.where(met, owners < origins, rng.random(len(origins)) < 0.5)
     args = (Metric.L1, anchors, directions, blockers, strict)
 
-    cross = real_crossing(*args)
+    cross = np.minimum(real_crossing(*args), 1.0)
     oracle = _bisected_crossing(*args)
     np.testing.assert_array_equal(cross < 1.0, oracle < 1.0)
     np.testing.assert_allclose(cross, oracle, rtol=0.0, atol=1e-12)
@@ -420,12 +421,12 @@ def test_l1_crossing_on_a_flat_stretch(nn_rows):
     # from a = (1/4, 1/4) along u = (1, 0), the blocker x = (1/2, 1/2) ties
     # with a from t = 1/4 on: g = 1/2 - 2 min(t, 1/4).  A blocker with the
     # smaller index owns the tie, so the walk leaves where the tie starts;
-    # one with the larger index never takes the ray
+    # one with the larger index never takes the ray (the oracle stops at 1)
     a, x, u = np.array([[0.25, 0.25]]), np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])
-    for strict, expected in ((True, 0.25), (False, 1.0)):
+    for strict, expected, bisected in ((True, 0.25, 0.25), (False, np.inf, 1.0)):
         args = (Metric.L1, a, u, x, np.array([strict]))
         assert real_crossing(*args)[0] == expected
-        assert _bisected_crossing(*args)[0] == pytest.approx(expected, abs=1e-15)
+        assert _bisected_crossing(*args)[0] == pytest.approx(bisected, abs=1e-15)
 
     # the same tie in a walk: from the larger index it stops at x_0 = 1/2,
     # from the smaller it runs to the wall.  The stopped walk's upper end is
@@ -449,10 +450,70 @@ def test_l1_rect_walk_never_leaves_past_a_far_blocker():
     u = np.array([[np.sqrt(3.0) * (1 + 1e-9), 0.0, 0.0]])
     for strict in (True, False):
         args = (Metric.L1, a[None, :], u, x[None, :], np.array([strict]))
-        assert real_crossing(*args)[0] == _bisected_crossing(*args)[0] == 1.0
+        assert real_crossing(*args)[0] == np.inf
+        assert _bisected_crossing(*args)[0] == 1.0
     for design in (np.vstack([a, x]), np.vstack([x, a])):
         origin = np.flatnonzero((design == a).all(axis=1))
         assert vorwalk(design, origin, u, Metric.L1).boundary_hit[0]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("strict", [True, False])
+def test_crossing_is_the_exact_closed_form(metric, strict):
+    # a ray toward x crosses the bisector at t = |x - a| / (2 |u|) = 2, past
+    # the step, and a ray away from x never does: the crossing is geometry
+    # alone under every metric, with no cut at t = 1
+    a, x = np.array([[0.1]]), np.array([[0.9]])
+    for u, expected in ((0.2, 2.0), (-0.2, np.inf)):
+        assert real_crossing(metric, a, np.array([[u]]), x, np.array([strict]))[0] == expected
+
+
+# --------------------------- near duplicates --------------------------------
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("dim", [2, 5, 20])
+def test_walks_against_a_near_duplicate_pair(metric, dim):
+    # `run_bo` perturbs a repeated proposal by at most 1e-6 per coordinate,
+    # so a design can hold two rows that close.  Walks start from the pair
+    # and one other row.  Half of them run within 1e-4 of the pair's L2
+    # bisector and cross it far from the pair, where the two distances
+    # differ by less than rounding across a whole bracket, so some L2 walks
+    # reach the fallback
+    rng = np.random.default_rng([211, dim])
+    design = rng.random((30, dim))
+    design[29] = np.clip(design[0] + rng.uniform(-1e-6, 1e-6, dim), 0.0, 1.0)
+    origins = rng.choice(np.array([0, 29, 1]), size=600).astype(np.intp)
+    u = rng.standard_normal((600, dim))
+    w = (design[29] - design[0]) / distance(Metric.L2, design[29], design[0])
+    tilt = rng.uniform(-1e-4, 1e-4, 300) * distance(Metric.L2, u[300:], 0.0)
+    u[300:] += (tilt - u[300:] @ w)[:, None] * w
+    u *= np.sqrt(dim) * (1 + 1e-9) / distance(metric, u, 0.0)[:, None]
+    cs = vorwalk(design, origins, u, metric)
+    anchors = design[origins]
+
+    # owners by a scan in the query's own arithmetic: at these near-ties
+    # NumPy's pairwise sum can name another owner from P = 8 on
+    def owners(t):
+        probes = anchors + t[:, None] * u
+        return distance(metric, design[None, :, :], probes[:, None, :]).argmin(axis=1)
+
+    assert (owners(cs.t_lower) == origins)[~cs.uncertified].all()
+    closed = ~cs.boundary_hit
+    assert (owners(cs.t_lower + cs.bracket_width) != origins)[closed].all()
+    redo = np.flatnonzero(cs.uncertified)
+    if metric is Metric.L2:
+        assert redo.size > 0
+    lo, hi = np.zeros(redo.size), np.ones(redo.size)
+    for _ in range(BISECTION_ITERS):
+        mid = 0.5 * (lo + hi)
+        ok = real_nearest(design, anchors[redo] + mid[:, None] * u[redo], metric) == origins[redo]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    np.testing.assert_array_equal(cs.t_lower[redo], lo)
+    np.testing.assert_array_equal(cs.boundary_hit[redo], hi == 1.0)
+    mid = 0.5 * (lo + hi)
+    points = np.clip(anchors[redo] + mid[:, None] * u[redo], 0.0, 1.0)
+    np.testing.assert_array_equal(cs.points[redo], points)
 
 
 # --------------------------- halfway rule -----------------------------------
