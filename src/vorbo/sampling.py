@@ -1,11 +1,10 @@
-"""Space-filling designs on the unit cube."""
+"""Space-filling designs on the unit cube; `scipy.stats` loads only when a Sobol design is drawn."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-from scipy.stats import qmc
 
 
 def lhs(n: int, dim: int, rng: np.random.Generator | int | None) -> np.ndarray:
@@ -37,6 +36,8 @@ def sobol(n: int, dim: int, start_index: int = 1) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
+    from scipy.stats import qmc  # deferred: no other vorbo path needs its slow, large import
+
     gen = qmc.Sobol(d=dim, scramble=False)
     if start_index:
         gen.fast_forward(start_index)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,3 +116,36 @@ def test_sobol_errors():
         sobol(4, 0)
     with pytest.raises(ValueError):
         sobol(4, 2, start_index=-1)
+
+
+# ------------------------------ import cost --------------------------------
+
+# Run in a fresh interpreter.  The SciPy modules vorbo needs are imported
+# before the snapshot, so the check holds whatever each SciPy version's own
+# import graph pulls in with them.
+_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+import scipy.linalg.lapack, scipy.optimize, scipy.spatial.distance, scipy.special
+before = {m for m in sys.modules if m.startswith("scipy")}
+import vorbo
+for info in pkgutil.iter_modules(vorbo.__path__, "vorbo."):
+    importlib.import_module(info.name)
+print(sorted(m for m in sys.modules if m.startswith("scipy") and m not in before))
+from vorbo.sampling import sobol
+sobol(4, 2)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_only_a_sobol_draw_loads_scipy_stats():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ).stdout.splitlines()
+    assert out == ["[]", "True"]

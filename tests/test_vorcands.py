@@ -15,16 +15,21 @@ from vorbo.vorcands import (
 )
 
 
-def _brute_owner(design: np.ndarray, q: np.ndarray, metric: Metric) -> int:
-    """First argmin over exact distances — independent of the index module."""
-    diff = np.abs(design - q[None, :])
+def _brute_owner(design: np.ndarray, q: np.ndarray, metric: Metric):
+    """First argmin over exact distances — independent of the index module.
+
+    Sums run left to right, the query's arithmetic: NumPy's pairwise `.sum`
+    can break a near-tie the other way from P = 8 on.  `q` is one point (an
+    index back) or an (M, P) batch (an (M,) array of indices back).
+    """
+    diff = np.abs(design - np.asarray(q)[..., None, :])
     if metric is Metric.L1:
-        d = diff.sum(axis=1)
+        d = np.cumsum(diff, axis=-1)[..., -1]
     elif metric is Metric.L2:
-        d = np.sqrt((diff * diff).sum(axis=1))
+        d = np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
     else:
-        d = diff.max(axis=1)
-    return int(np.flatnonzero(d == d.min())[0])
+        d = diff.max(axis=-1)
+    return d.argmin(axis=-1)
 
 
 #: The unpatched query and crossing, for tests that patch them.
@@ -492,11 +497,8 @@ def test_walks_against_a_near_duplicate_pair(metric, dim):
     cs = vorwalk(design, origins, u, metric)
     anchors = design[origins]
 
-    # owners by a scan in the query's own arithmetic: at these near-ties
-    # NumPy's pairwise sum can name another owner from P = 8 on
     def owners(t):
-        probes = anchors + t[:, None] * u
-        return distance(metric, design[None, :, :], probes[:, None, :]).argmin(axis=1)
+        return _brute_owner(design, anchors + t[:, None] * u, metric)
 
     assert (owners(cs.t_lower) == origins)[~cs.uncertified].all()
     closed = ~cs.boundary_hit
@@ -514,6 +516,23 @@ def test_walks_against_a_near_duplicate_pair(metric, dim):
     mid = 0.5 * (lo + hi)
     points = np.clip(anchors[redo] + mid[:, None] * u[redo], 0.0, 1.0)
     np.testing.assert_array_equal(cs.points[redo], points)
+
+
+def test_brute_owner_breaks_near_ties_as_the_query_does():
+    # queries on the L2 bisector of a near-duplicate pair at P = 20, where
+    # the two distances differ by rounding only
+    rng = np.random.default_rng(0)
+    design = rng.random((2, 20))
+    design[1] = design[0] + rng.uniform(-1e-6, 1e-6, 20)
+    w = (design[1] - design[0]) / distance(Metric.L2, design[1], design[0])
+    v = rng.standard_normal((200, 20))
+    v -= (v @ w)[:, None] * w
+    queries = 0.5 * (design[0] + design[1]) + 0.3 * v / distance(Metric.L2, v, 0.0)[:, None]
+    want = real_nearest(design, queries, Metric.L2)
+    diff = design[None, :, :] - queries[:, None, :]
+    pairwise = np.sqrt((diff * diff).sum(axis=-1)).argmin(axis=1)
+    assert (pairwise != want).any()
+    np.testing.assert_array_equal(_brute_owner(design, queries, Metric.L2), want)
 
 
 # --------------------------- halfway rule -----------------------------------
