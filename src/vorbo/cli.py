@@ -15,11 +15,9 @@ This module formats every number and writes every file: the library
 returns records and values.  Every file-writing subcommand also writes a
 `<out>.meta.json` sidecar whose `settings` are its table's values (list
 flags, `run --method` too, as lists) and the package version (never
-timestamps, so identical invocations produce identical files).  For `run`,
-values may come from a flat `key = value` config file via --config, keyed by
-flag name with underscores (`n_init = 12`, `timing = false` for --no-timing).
-Each file value is parsed and checked as its flag is, and explicit flags
-override file values.
+timestamps, so identical invocations produce identical files).  `run` takes
+its settings from flags alone; --problem, --dim, --budget and --out are
+required.
 """
 
 from __future__ import annotations
@@ -104,50 +102,15 @@ def _write_sidecar(args: argparse.Namespace, **extra) -> None:
     _write_lines(args.out + ".meta.json", [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
-def _config_argv(path: str, settings: dict[str, argparse.Action]) -> list[str]:
-    """A flat `key = value` file as `run` flags; each key is a flag's dest."""
-    argv = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in settings:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                flag = settings[key]
-                if flag.nargs != 0:
-                    argv.append(f"{flag.option_strings[0]}={val}")
-                elif val.lower() not in _BOOLEANS:
-                    raise ValueError(f"{path}:{lineno}: expected a boolean, got {val!r}")
-                elif _BOOLEANS[val.lower()] == flag.const:  # --no-x, --no-timing take no value
-                    argv.append(flag.option_strings[0])
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return argv
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = {name: getattr(args, name) for name in args.settings}
-    for required in ("problem", "dim", "budget", "out"):
-        if settings[required] is None:
-            raise ValueError(f"missing required setting: {required}")
-    seeds = tuple(range(settings["seed"], settings["seed"] + settings["reps"]))
+    seeds = tuple(range(args.seed, args.seed + args.reps))
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     config = ExperimentConfig(
-        methods=tuple(settings["method"]),
+        methods=tuple(args.method),
         seeds=seeds,
-        n_candidates=settings["candidates"],
+        n_candidates=args.candidates,
         # out, include_x and timing shape only the file written below
-        **{k: v for k, v in settings.items() if k in fields},
+        **{k: v for k, v in vars(args).items() if k in fields},
     )
     records, failures = run_suite(config)
 
@@ -184,11 +147,12 @@ def cmd_boundary_study(args: argparse.Namespace) -> int:
             for n in args.sizes:
                 # one design per (rep, P, N), shared by every strategy/metric
                 design = np.random.default_rng([args.seed, rep, dim, n]).random((n, dim))
-                for strat_id, strat in enumerate(args.strategies):
+                for strat in args.strategies:
                     for name in args.metrics:
-                        # identically keyed stream per strategy: the same
-                        # origins/directions are walked under every metric
-                        rng = np.random.default_rng([args.seed, rep, dim, n, strat_id])
+                        # one stream per strategy name: the same origins and directions
+                        # under every metric, whichever other strategies are asked for
+                        key = [args.seed, rep, dim, n, STRATEGIES.index(strat)]
+                        rng = np.random.default_rng(key)
                         prop = boundary_proportion(design, args.count, strat, Metric(name), rng)
                         lines.append(f"{strat},{name},{n},{dim},{rep},{_fmt(prop)}")
     _write_lines(args.out, lines)
@@ -262,15 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run a (methods x seeds) experiment grid")
-    run.add_argument("--config", help="flat key=value config file; flags override")
     # One table of settings per subcommand.  A flag's type parses and checks
-    # it, and its dest is its name in the sidecar and its `run` config-file
-    # key; a `run` default is read from ExperimentConfig's class attributes.
+    # it, and its dest is its name in the sidecar; a `run` default is read
+    # from ExperimentConfig's class attributes.
     flag, cfg = run.add_argument, ExperimentConfig
     settings = (
-        flag("--problem", choices=PROBLEM_NAMES),
-        flag("--dim", type=_ints(1)),
-        flag("--budget", type=int, help="total evaluations including the initial design"),
+        flag("--problem", required=True, choices=PROBLEM_NAMES),
+        flag("--dim", required=True, type=_ints(1)),
+        flag(
+            "--budget",
+            required=True,
+            type=int,
+            help="total evaluations including the initial design",
+        ),
         flag(
             "--method",
             type=_names(METHODS),
@@ -309,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=cfg.jobs,
             help="parallel worker processes (default %(default)s)",
         ),
-        flag("--out", help="output CSV path"),
+        flag("--out", required=True, help="output CSV path"),
         flag("--no-x", dest="include_x", action="store_false", help="omit x columns"),
         flag(
             "--no-timing",
@@ -318,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="zero the timing columns (byte-stable output)",
         ),
     )
-    run.set_defaults(func=cmd_run, parser=run, settings={a.dest: a for a in settings})
+    run.set_defaults(func=cmd_run, parser=run, settings=[a.dest for a in settings])
 
     study = sub.add_parser("boundary-study", help="wall-hit proportion grid")
     study.add_argument("--out", required=True)
@@ -332,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--strategies", type=_names(STRATEGIES), default="unif,rect,proj"),
         flag("--metrics", type=_names(tuple(m.value for m in Metric)), default="l1,l2,linf"),
     )
-    study.set_defaults(func=cmd_boundary_study, parser=study, settings={a.dest: a for a in settings})
+    study.set_defaults(func=cmd_boundary_study, parser=study, settings=[a.dest for a in settings])
 
     cand = sub.add_parser("candidates", help="dump design + candidate cloud")
     cand.add_argument("--out", required=True)
@@ -347,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--iteration", type=_ints(0), default=0, help="scheme parity for vor"),
         flag("--incumbent", type=int, default=0, help="incumbent index for vor"),
     )
-    cand.set_defaults(func=cmd_candidates, parser=cand, settings={a.dest: a for a in settings})
+    cand.set_defaults(func=cmd_candidates, parser=cand, settings=[a.dest for a in settings])
 
     probs = sub.add_parser("problems", help="list built-in problems")
     probs.set_defaults(func=cmd_problems, parser=probs)
@@ -355,16 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # parse again with the file's settings ahead of the command line's
-            # flags: argparse checks both alike, and the later flag wins
-            at = argv.index("run") + 1
-            file_argv = _config_argv(args.config, args.settings)
-            args = parser.parse_args([*argv[:at], *file_argv, *argv[at:]])
         out = getattr(args, "out", None)
         if out is not None and (not out or os.path.isdir(out)):
             raise ValueError(f"--out must name a file, got {out!r}")
@@ -373,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         args.parser.error(str(exc))  # exits 2 with the subcommand's usage
-        return 2  # unreachable; keeps type checkers honest
 
 
 if __name__ == "__main__":

@@ -239,16 +239,17 @@ def run_suite(
 ) -> tuple[list[TrajectoryRecord], list[tuple[str, int, str]]]:
     """Run every (method, seed) cell; returns (records, failures).
 
-    Cells are independent; with config.jobs > 1 they run in worker
-    processes.  Records are sorted by (method, seed, iteration) so scheduling
-    order can never change them.  A failed cell contributes one sentinel
-    record (iteration -1, NaN outputs) and is reported in the returned
-    failure list; other cells proceed.
+    Cells are independent; min(config.jobs, cells) worker processes run
+    them, or this process when that is 1.  Records are sorted by (method,
+    seed, iteration) so scheduling order can never change them.  A failed
+    cell contributes one sentinel record (iteration -1, NaN outputs) and is
+    reported in the returned failure list; other cells proceed.
     """
     config.validate()
     cells = [(config, m, s) for m in config.methods for s in config.seeds]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]

@@ -242,7 +242,7 @@ def vorwalk(
 
     # certify each closed upper end by the pair (blocker, origin) alone
     t_lo, t_hi = t - 0.5 * width, t + 0.5 * width
-    certified &= (t_lo >= 0.0) & (t_hi <= 1.0)
+    certified &= t_lo >= 0.0
     up = np.flatnonzero(certified & (t_hi < 1.0))
     probes = anchors[up] + t_hi[up, None] * directions[up]
     d_blocker = distance(metric, probes, design[blocker[up]])

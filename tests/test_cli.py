@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -53,10 +54,17 @@ def test_run_end_to_end(tmp_path):
         np.testing.assert_allclose(meta["shifts"][str(seed)], expected)
 
 
-def test_run_requires_problem(tmp_path):
+@pytest.mark.parametrize("key", ["problem", "dim", "budget", "out"])
+def test_run_requires_flag(tmp_path, monkeypatch, capsys, cells, key):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(_run_args(tmp_path / "x.csv", problem=None))
+        main(_run_args("x.csv", **{key: None}))
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: vorbo run ")
+    assert err.splitlines()[-1] == f"vorbo run: error: the following arguments are required: --{key}"
+    assert cells == []
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_rejects_budget_at_initial_size(tmp_path):
@@ -121,63 +129,24 @@ def test_run_rejects_unknown_or_no_method_by_name(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
-def test_run_config_file_with_flag_override(tmp_path):
-    out = tmp_path / "traj.csv"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# experiment settings\n"
-        "problem = ackley\n"
-        "dim = 2\n"
-        "budget = 8\n"
-        "\n"
-        "candidates = 50\n"
-        f"out = {out}\n"
-    )
-    assert main(["run", "--config", str(cfg), "--budget", "9"]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 3  # flag override: budget 9 -> 3 acquisitions
-
-    meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
-    assert meta["settings"]["budget"] == 9
-    assert meta["settings"]["problem"] == "ackley"
-
-
-def test_run_rejects_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = ackley\nwalks = 7\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(cfg)])
-    assert exc.value.code == 2
-    cfg.write_text("problem = ackley\ndim 3\n")  # no '=' at all
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert f"{cfg}:2: expected 'key = value', got 'dim 3'" in capsys.readouterr().err
-
-
-def test_run_rejects_missing_config_file(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(tmp_path / "absent.cfg")])
-    assert exc.value.code == 2
-
-
-#: A value for each config key that differs from the `_run_args` setting or
-#: the default, and the flags that give the same.
-_CONFIG_KEYS = {
-    "problem": ("levy", ["--problem", "levy"]),
-    "dim": ("1", ["--dim", "1"]),
-    "budget": ("9", ["--budget", "9"]),
-    "method": ("lhs,vor", ["--method", "lhs,vor"]),
-    "reps": ("2", ["--reps", "2"]),
-    "seed": ("5", ["--seed", "5"]),
-    "n_init": ("4", ["--n-init", "4"]),
-    "candidates": ("60", ["--candidates", "60"]),
-    "refit_until": ("3", ["--refit-until", "3"]),
-    "refit_every": ("4", ["--refit-every", "4"]),
-    "jobs": ("2", ["--jobs", "2"]),
-    "out": ("other.csv", ["--out", "other.csv"]),
-    "include_x": ("false", ["--no-x"]),
-    "timing": ("off", ["--no-timing"]),
+#: A value for each `run` flag that differs from the `_run_args` setting or
+#: the default: its flags, its sidecar setting, and the ExperimentConfig
+#: fields it sets (none for the three that shape only the written file).
+_RUN_FLAGS = {
+    "problem": (["--problem", "levy"], "levy", {"problem": "levy"}),
+    "dim": (["--dim", "1"], 1, {"dim": 1}),
+    "budget": (["--budget", "9"], 9, {"budget": 9}),
+    "method": (["--method", "lhs,vor"], ["lhs", "vor"], {"methods": ("lhs", "vor")}),
+    "reps": (["--reps", "2"], 2, {"seeds": (0, 1)}),
+    "seed": (["--seed", "5"], 5, {"seeds": (5,)}),
+    "n_init": (["--n-init", "4"], 4, {"n_init": 4}),
+    "candidates": (["--candidates", "60"], 60, {"n_candidates": 60}),
+    "refit_until": (["--refit-until", "3"], 3, {"refit_until": 3}),
+    "refit_every": (["--refit-every", "4"], 4, {"refit_every": 4}),
+    "jobs": (["--jobs", "2"], 2, {"jobs": 2}),
+    "out": (["--out", "other.csv"], "other.csv", {}),
+    "include_x": (["--no-x"], False, {}),
+    "timing": (["--no-timing"], False, {}),
 }
 
 
@@ -195,48 +164,30 @@ def cells(monkeypatch):
     return configs
 
 
-@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
-def test_config_file_value_parses_like_its_flag(tmp_path, monkeypatch, cells, key):
+@pytest.mark.parametrize("key", sorted(_RUN_FLAGS))
+def test_run_flag_reaches_sidecar_and_config(tmp_path, monkeypatch, cells, key):
     monkeypatch.chdir(tmp_path)
-    value, flags = _CONFIG_KEYS[key]
-    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
-    base = _run_args("traj.csv", **{key: None})
+    flags, setting, fields = _RUN_FLAGS[key]
     settings = []
-    for argv in ([*base, "--config", "run.cfg"], [*base, *flags], _run_args("traj.csv")):
+    for argv in ([*_run_args("traj.csv", **{key: None}), *flags], _run_args("traj.csv")):
         assert main(argv) == 0
         (sidecar,) = tmp_path.glob("*.meta.json")
         settings.append(json.loads(sidecar.read_text())["settings"])
         sidecar.unlink()
-    from_file, from_flags, without = settings
-    assert from_file == from_flags
-    assert from_file[key] != without[key]
-    assert cells[0] == cells[1]
+    with_flag, without = settings
+    assert with_flag == {**without, key: setting}
+    assert setting != without[key]
+    assert cells[0] == dataclasses.replace(cells[1], **fields)
 
 
 @pytest.mark.parametrize("key, value", [("problem", "nosuch"), ("dim", "x"), ("jobs", "2.5")])
-def test_invalid_config_value_fails_like_its_flag(tmp_path, capsys, cells, key, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    base = _run_args(tmp_path / "x.csv", **{key: None})
-    errors = []
-    for argv in ([*base, "--config", str(cfg)], [*base, f"--{key}", value]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
-    assert "invalid" in errors[0]
-    assert cells == []
-
-
-def test_invalid_config_boolean_names_file_and_line(tmp_path, capsys, cells):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# booleans\ntiming = maybe\n")
+def test_run_rejects_an_invalid_flag_value(tmp_path, capsys, cells, key, value):
     with pytest.raises(SystemExit) as exc:
-        main([*_run_args(tmp_path / "x.csv"), "--config", str(cfg)])
+        main([*_run_args(tmp_path / "x.csv", **{key: None}), f"--{key}", value])
     assert exc.value.code == 2
-    assert f"{cfg}:2: expected a boolean, got 'maybe'" in capsys.readouterr().err
+    assert f"vorbo run: error: --{key} invalid" in capsys.readouterr().err
     assert cells == []
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_no_timing_reruns_are_byte_identical(tmp_path):
@@ -384,6 +335,25 @@ def test_boundary_study_deterministic(tmp_path):
     main(args(first))
     main(args(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_boundary_study_row_depends_only_on_its_own_strategy(tmp_path):
+    """A strategy's rows are the same alone, first, or after others."""
+    out = tmp_path / "study.csv"
+
+    def rows(strategies):
+        argv = [
+            "boundary-study", "--reps", "1", "--count", "200", "--sizes", "100",
+            "--dims", "2", "--metrics", "l1,linf", "--strategies", strategies, "--out", str(out),
+        ]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()[1:]
+        return {s: [row for row in lines if row.startswith(s + ",")] for s in strategies.split(",")}
+
+    together = rows("unif,rect,proj")
+    for strategies in ("rect", "proj", "rect,unif", "proj,rect,unif"):
+        for strat, got in rows(strategies).items():
+            assert got == together[strat], (strategies, strat)
 
 
 def test_boundary_study_rejects_unknown_strategy(tmp_path):

@@ -231,6 +231,35 @@ def test_suite_isolates_failing_cells(monkeypatch):
     assert len([r for r in records if r.iteration > 0]) == 2
 
 
+@pytest.mark.parametrize(
+    "jobs, seeds, pools",
+    [(8, (0,), []), (1, (0, 1, 2), []), (8, (0, 1, 2), [3]), (2, (0, 1, 2), [2])],
+    ids=["one-cell", "one-job", "more-jobs-than-cells", "fewer-jobs-than-cells"],
+)
+def test_suite_starts_no_more_workers_than_cells(monkeypatch, jobs, seeds, pools):
+    """A pool of min(jobs, cells) workers, and none for one; the stand-in
+    pool records its size and maps in this process, so no process starts."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(driver, "run_bo", lambda config, seed, method: [])
+    assert run_suite(_config(seeds=seeds, jobs=jobs)) == ([], [])
+    assert sizes == pools
+
+
 # ----------------------------- configuration --------------------------------
 
 
