@@ -72,17 +72,20 @@ def ei_and_grad(
 ) -> tuple[float, np.ndarray]:
     """EI and its analytic gradient at one point, from one predictive pass.
 
-    The value is `ei` at the same point, bit for bit.  dEI/dmu = -Phi(z) and
-    dEI/dsigma = phi(z), chained through the predictive moment gradients; at
-    a numerically zero sd, the gradient of the deterministic improvement
-    max(y_min - mu, 0).
+    z, Phi(z) and phi(z) are taken once, and the value is `ei_values`'
+    expression and clamp on them, so it is `ei` at the same point, bit for
+    bit.  dEI/dmu = -Phi(z) and dEI/dsigma = phi(z), chained through the
+    predictive moment gradients; at a numerically zero sd, the value and
+    gradient of the deterministic improvement max(y_min - mu, 0).
     """
     mean, sd, dmean, dsd = gp.predict_grad(model, query)
-    value = float(ei_values([mean], [sd], y_min)[0])
+    imp = y_min - mean
+    # 0.0 first: `max` then clamps -0.0 to 0.0, as `np.maximum(imp, 0.0)` does
     if sd > SD_FLOOR:
-        z = (y_min - mean) / sd
-        return value, -ndtr(z) * dmean + _npdf(z) * dsd
-    return value, -dmean if mean < y_min else np.zeros_like(dmean)
+        z = imp / sd
+        cdf, pdf = ndtr(z), _npdf(z)
+        return float(max(0.0, imp * cdf + sd * pdf)), -cdf * dmean + pdf * dsd
+    return float(max(0.0, imp)), -dmean if mean < y_min else np.zeros_like(dmean)
 
 
 def argmax_discrete(model: gp.GpModel, points: np.ndarray, y_min: float) -> AcqResult:

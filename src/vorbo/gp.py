@@ -292,12 +292,12 @@ def predict_grad(
     same correlation row, so they match it bit for bit.
     """
     query = np.asarray(query, dtype=float).reshape(1, -1)
-    rho, w, mean, sd = _moments(model, query)
+    rho, w, (mean,), (sd,) = _moments(model, query)
     # d rho_i / d x_p = rho_i * (-2 (x_p - X_ip) / ls_p)
     j = rho.T * (-2.0 * (query - model.design) / model.lengthscales)
     dmean = j.T @ model.alpha
-    if sd[0] <= 0.0:
-        return float(mean[0]), 0.0, dmean, np.zeros_like(dmean)
+    if sd <= 0.0:
+        return float(mean), 0.0, dmean, np.zeros_like(dmean)
     # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w = U^-1 w
     v = _solved(dtrtrs(model.chol.T, w[:, 0], lower=0, trans=0), "dtrtrs")
-    return float(mean[0]), float(sd[0]), dmean, -model.tau_sq * (j.T @ v) / sd[0]
+    return float(mean), float(sd), dmean, -model.tau_sq * (j.T @ v) / sd

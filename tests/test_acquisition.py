@@ -209,6 +209,59 @@ def test_value_is_ei_bit_for_bit():
         assert ei_and_grad(model, x, y_min)[0] == ei(model, x[None, :], y_min)[0]
 
 
+def _ei_and_grad_before(model, query, y_min):
+    """The oracle: `ei_and_grad` as first written, the value through
+    `ei_values` on one-element lists and Phi and phi taken again for the
+    gradient."""
+    mean, sd, dmean, dsd = gp.predict_grad(model, query)
+    value = float(ei_values([mean], [sd], y_min)[0])
+    if sd > SD_FLOOR:
+        z = (y_min - mean) / sd
+        return value, -acquisition.ndtr(z) * dmean + acquisition._npdf(z) * dsd
+    return value, -dmean if mean < y_min else np.zeros_like(dmean)
+
+
+def _assert_same_bits(got, want):
+    assert type(got[0]) is type(want[0]) is float
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+def test_value_and_gradient_equal_the_oracle_where_sd_is_live():
+    for seed, dim in ((50, 2), (51, 5)):
+        model, X, y = _toy_model(seed, n=8 * dim, dim=dim)
+        points = [*X[:5], *np.random.default_rng(seed).random((300, dim))]
+        # y_min below, at and above the data, and a NumPy float
+        for y_min in (y.min() - 1.0, float(y.min()), float(y.max()) + 1.0, y.min() + 0.5):
+            for x in points:
+                _assert_same_bits(ei_and_grad(model, x, y_min), _ei_and_grad_before(model, x, y_min))
+
+
+@pytest.mark.parametrize("sd", [0.0, 0.5 * SD_FLOOR, SD_FLOOR, np.nextafter(SD_FLOOR, 1.0)])
+def test_value_and_gradient_equal_the_oracle_about_the_sd_floor(monkeypatch, sd):
+    # the moments are set directly, so each branch is reached exactly: sd at
+    # or below the floor with the mean above, at and below y_min, and a -0.0
+    # improvement (y_min = -0.0, mean = 0.0), which must clamp to 0.0
+    dmean, dsd = np.array([0.25, -1.5]), np.array([-0.75, 2.0])
+    for mean, y_min in ((1.0, 0.5), (0.5, 0.5), (0.25, 0.5), (0.0, -0.0), (-3.0, np.float64(2.0))):
+        monkeypatch.setattr(gp, "predict_grad", lambda model, query: (mean, float(sd), dmean, dsd))
+        got, want = ei_and_grad(None, None, y_min), _ei_and_grad_before(None, None, y_min)
+        _assert_same_bits(got, want)
+        assert np.signbit(got[0]) == np.signbit(want[0])
+
+
+@pytest.mark.parametrize("seed, n, dim", [(60, 20, 2), (61, 12, 3), (62, 30, 1), (63, 25, 5)])
+def test_multistart_equals_the_oracle_ascent(monkeypatch, seed, n, dim):
+    model, X, y = _toy_model(seed, n=n, dim=dim)
+    args = (model, float(y.min()), X[int(np.argmin(y))])
+    res = multistart_opt(*args, np.random.default_rng(seed))
+    monkeypatch.setattr(acquisition, "ei_and_grad", _ei_and_grad_before)
+    want = multistart_opt(*args, np.random.default_rng(seed))
+    assert res.point.tobytes() == want.point.tobytes()
+    assert np.float64(res.acq_value).tobytes() == np.float64(want.acq_value).tobytes()
+    assert res.evaluations == want.evaluations
+
+
 # ----------------------------- multistart_opt -------------------------------
 
 
