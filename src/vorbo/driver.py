@@ -165,6 +165,9 @@ def run_bo(config: ExperimentConfig, seed: int, method: str) -> list[TrajectoryR
     n_cand = config.resolved_n_candidates()
     n_acq = config.budget - design.shape[0]
 
+    if method == "sobol":  # load scipy.stats now, or the first draw's timings carry it
+        from scipy.stats import qmc  # noqa: F401
+
     model: gp.GpModel | None = None
     records: list[TrajectoryRecord] = []
     cell_t0 = time.perf_counter()

@@ -10,7 +10,9 @@ factor).  A small relative nugget keeps factorizations positive definite on
 deterministic data; predictions report the latent-function standard
 deviation, so at a training input the sd collapses to roughly
 sqrt(nugget * tau_sq).  `predict_grad` gives the moments and their gradients
-at one point from a single correlation row.
+at one point from a single correlation row.  The batch pass in `predict`
+reuses its correlation block, with no other C x N temporary: the solve
+writes w over it and w is squared in place, with unchanged bits.
 
 Every factorization, inverse and solve calls LAPACK (`scipy.linalg.lapack`)
 directly: at the sizes a BO run reaches (N in the tens) SciPy's wrappers
@@ -85,10 +87,14 @@ def _corr(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
 
     Distances are taken on direct differences of the scaled rows, so the
     diagonal of _corr(a, a, ls) is exactly 1 and no squared distance can
-    round below zero, as the expanded form |a|^2 + |b|^2 - 2ab can.
+    round below zero, as the expanded form |a|^2 + |b|^2 - 2ab can.  The
+    distance block is negated and exponentiated in place, and a design
+    passed as both `a` and `b` is scaled once.
     """
     scale = np.sqrt(lengthscales)
-    return np.exp(-cdist(a / scale, b / scale, "sqeuclidean"))
+    a = a / scale
+    d = cdist(a, a if b is a else b / scale, "sqeuclidean")
+    return np.exp(np.negative(d, d), d)  # in place; `out` by position parses faster
 
 
 def _check_data(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,12 +260,15 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     return build(design, y, np.exp(theta))
 
 
-def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
+def _moments(model: GpModel, queries: np.ndarray, keep: bool = False) -> tuple:
     """Correlation rows, w = chol^-1 rho', and the predictive mean and sd.
 
-    The queries are checked here, for `predict` and `predict_grad` alike,
-    since LAPACK is called unchecked: P-column finite queries give finite
-    correlations, and `build` checked the data behind the Cholesky factor.
+    Unless `keep`, w overwrites the correlation block (rho' is Fortran-ordered,
+    so the solve needs no copy) and is squared in place: only the mean and sd
+    come back meaningful.  The queries are checked here, for `predict` and
+    `predict_grad` alike, since LAPACK is called unchecked: P-column finite
+    queries give finite correlations, and `build` checked the data behind the
+    Cholesky factor.
     """
     if queries.shape[1] != model.design.shape[1]:
         raise ValueError(
@@ -271,9 +280,11 @@ def _moments(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, ...]:
     mean = model.y_mean + rho @ model.alpha
     # chol.T is the upper factor U = L'; solving U' w = rho' is L w = rho'.
     # This is the call SciPy makes for a C-ordered lower factor, and its bits
-    # differ from solving with the Fortran-ordered L itself.
-    w = _solved(dtrtrs(model.chol.T, rho.T, lower=0, trans=1), "dtrtrs")
-    var = model.tau_sq * np.maximum(1.0 - (w * w).sum(axis=0), 0.0)
+    # differ from solving with the Fortran-ordered L itself.  Both solves pass
+    # (lower, trans) by position: f2py parses keywords slowly for one row.
+    w = _solved(dtrtrs(model.chol.T, rho.T, 0, 1, overwrite_b=not keep), "dtrtrs")
+    sq = w * w if keep else np.multiply(w, w, out=w)
+    var = model.tau_sq * np.maximum(1.0 - sq.sum(axis=0), 0.0)
     return rho, w, mean, np.sqrt(var)
 
 
@@ -292,12 +303,12 @@ def predict_grad(
     same correlation row, so they match it bit for bit.
     """
     query = np.asarray(query, dtype=float).reshape(1, -1)
-    rho, w, (mean,), (sd,) = _moments(model, query)
+    rho, w, (mean,), (sd,) = _moments(model, query, keep=True)
     # d rho_i / d x_p = rho_i * (-2 (x_p - X_ip) / ls_p)
     j = rho.T * (-2.0 * (query - model.design) / model.lengthscales)
     dmean = j.T @ model.alpha
     if sd <= 0.0:
         return float(mean), 0.0, dmean, np.zeros_like(dmean)
     # d var / dx = -2 tau_sq * j' A^-1 rho, and A^-1 rho = chol^-T w = U^-1 w
-    v = _solved(dtrtrs(model.chol.T, w[:, 0], lower=0, trans=0), "dtrtrs")
+    v = _solved(dtrtrs(model.chol.T, w[:, 0], 0, 0), "dtrtrs")
     return float(mean), float(sd), dmean, -model.tau_sq * (j.T @ v) / sd

@@ -1,3 +1,5 @@
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,6 +84,22 @@ def test_sobol_method_advances_through_sequence():
     records = run_bo(config, seed=4, method="sobol")
     xs = np.array([r.x for r in records])
     assert len({tuple(row) for row in xs}) == len(records)
+
+
+def test_a_sobol_cell_loads_scipy_stats_before_its_first_timer(monkeypatch):
+    # a fresh process: scipy.stats not yet imported, as after `import vorbo.cli`
+    for name in [m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")]:
+        monkeypatch.delitem(sys.modules, name)
+    loaded = []
+
+    def perf_counter():
+        loaded.append("scipy.stats.qmc" in sys.modules)
+        return time.perf_counter()
+
+    monkeypatch.setattr(driver, "time", SimpleNamespace(perf_counter=perf_counter))
+    run_bo(_config(budget=8, methods=("sobol",)), seed=4, method="sobol")
+    # every read, the cell's start and each `_propose` timer among them
+    assert loaded and all(loaded)
 
 
 def test_duplicate_proposals_get_perturbed(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotri
+from scipy.spatial.distance import cdist
 
 from vorbo import gp
 from vorbo.gp import SurrogateFitError
@@ -123,6 +124,20 @@ def test_kernel_diagonal_is_one_and_symmetric():
     np.testing.assert_array_equal(c, c.T)
 
 
+@pytest.mark.parametrize("dim", [1, 5, 20, 100])
+def test_kernel_is_bit_equal_to_the_out_of_place_expression(dim):
+    # _corr negates and exponentiates its distance block in place, and scales
+    # a shared design once; neither may move a bit
+    rng = np.random.default_rng([23, dim])
+    a, b = rng.random((40, dim)), rng.random((17, dim))
+    ls = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=dim))
+    s = np.sqrt(ls)
+    assert np.array_equal(gp._corr(a, b, ls), np.exp(-cdist(a / s, b / s, "sqeuclidean")))
+    c = gp._corr(a, a, ls)
+    assert np.array_equal(c, np.exp(-cdist(a / s, a / s, "sqeuclidean")))
+    assert (np.diag(c) == 1.0).all()
+
+
 def test_kernel_vanishes_at_large_separation():
     assert gp._corr(np.zeros((1, 3)), np.full((1, 3), 50.0), np.full(3, 0.1))[0, 0] < 1e-300
 
@@ -192,6 +207,26 @@ def test_predictive_variance_nonnegative_and_deterministic():
     assert (s1 >= 0.0).all()
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_predict_has_no_side_effects_and_ignores_the_query_layout():
+    # the benchmark's scoring shape: N=79, P=20, C=2000; the batch pass
+    # overwrites its own correlation block, and nothing else
+    rng = np.random.default_rng(24)
+    X = rng.random((79, 20))
+    model = gp.build(X, np.sin(3.0 * X).sum(axis=1), np.full(20, 2.0))
+    wide = rng.random((4000, 40))
+    strided = wide[::2, 1::2]
+    queries = np.ascontiguousarray(strided)
+    fields = ("design", "chol", "alpha", "lengthscales")
+    before = [getattr(model, f).tobytes() for f in fields]
+    *_, ref_mean, ref_sd = _scipy_moments(model, queries)
+    for q in (queries, np.asfortranarray(queries), strided, queries):
+        snapshot = q.tobytes()
+        mean, sd = gp.predict(model, q)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(sd, ref_sd)
+        assert q.tobytes() == snapshot
+    assert [getattr(model, f).tobytes() for f in fields] == before
 
 
 @pytest.mark.parametrize("width", [1, 4])
