@@ -107,31 +107,29 @@ def multistart_opt(
 
     The 2P + 1 starts are the incumbent and 2P Latin hypercube points.  Each
     start runs a bounded local ascent with the analytic gradient (max 200
-    iterations, projected-gradient tolerance 1e-8); the best terminal point
-    across starts wins, falling back to the best start itself if no ascent
-    improves on it.  A start's own EI is the ascent's first evaluation, which
-    L-BFGS-B makes at the (clipped) start, so `evaluations` counts objective
-    calls only; each of them yields the value and the gradient.
+    iterations, projected-gradient tolerance 1e-8).  The result is the best
+    point the objective was evaluated at, across all starts, ties to the
+    earliest.  L-BFGS-B's first evaluation is at the (clipped) start, so a
+    start is always a candidate, and `evaluations` counts objective calls,
+    each of which yields the value and the gradient.
     """
     dim = model.design.shape[1]
     incumbent = np.asarray(incumbent, dtype=float).reshape(-1)
     starts = [incumbent, *lhs(2 * dim, dim, rng)]
-
-    values: list[float] = []
+    best_x, best_val, evaluations = None, -np.inf, 0
 
     def neg_ei_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_x, best_val, evaluations
         value, grad = ei_and_grad(model, x, y_min)
-        values.append(value)
+        evaluations += 1
+        if value > best_val:
+            best_x, best_val = x.copy(), value
         return -value, -grad
 
-    best_x: np.ndarray | None = None
-    best_val = -np.inf
     for x0 in starts:
-        x0 = np.clip(x0, 0.0, 1.0)
-        first = len(values)
-        res = minimize(
+        minimize(
             neg_ei_and_grad,
-            x0,
+            np.clip(x0, 0.0, 1.0),
             jac=True,
             method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * dim,
@@ -140,8 +138,4 @@ def multistart_opt(
             # long before the gradient tolerance gets a say
             options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-16},
         )
-        if values[first] > best_val:
-            best_val, best_x = values[first], x0.copy()
-        if np.isfinite(res.fun) and -res.fun > best_val:
-            best_val, best_x = float(-res.fun), np.clip(res.x, 0.0, 1.0)
-    return AcqResult(point=best_x, acq_value=max(best_val, 0.0), evaluations=len(values))
+    return AcqResult(point=best_x, acq_value=best_val, evaluations=evaluations)

@@ -234,14 +234,20 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     lo, hi = LENGTHSCALE_BOUNDS
     yc = y - y.mean()
     theta0 = np.clip(np.log(lengthscales), np.log(lo), np.log(hi))
-    values = []
+    # Neither this search nor `acquisition.multistart_opt` reads L-BFGS-B's
+    # result: after an abnormal line-search stop it restores x to the last
+    # iterate but reports the last trial's fun.  Each keeps the best point its
+    # objective evaluated (a copy: SciPy may reuse the array), ties to the first.
+    best_nll, best_theta = np.inf, theta0
 
     def nll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_nll, best_theta
         nll, grad = _nll_and_grad(theta, design, yc)
-        values.append(nll)
+        if nll < best_nll:
+            best_nll, best_theta = nll, theta.copy()
         return nll, grad
 
-    res = minimize(
+    minimize(
         nll_and_grad,
         theta0,
         jac=True,
@@ -251,13 +257,9 @@ def fit(design: np.ndarray, y: np.ndarray, lengthscales: np.ndarray) -> GpModel:
     )
     # the first evaluation is at theta0 (inside the box): a start that cannot
     # be factored stops L-BFGS-B there, and `build` could only fail again
-    if values[0] == _UNFACTORABLE_NLL:
+    if best_nll == _UNFACTORABLE_NLL:
         raise SurrogateFitError("correlation matrix at the warm start cannot be factored")
-    # L-BFGS-B accepts only descent steps; a pathological line search keeps the start
-    theta = res.x
-    if not np.isfinite(res.fun) or res.fun > values[0]:
-        theta = theta0
-    return build(design, y, np.exp(theta))
+    return build(design, y, np.exp(best_theta))
 
 
 def _moments(model: GpModel, queries: np.ndarray, keep: bool = False) -> tuple:

@@ -304,35 +304,36 @@ def test_multistart_determinism():
 
 
 def _reference_multistart(model, y_min, incumbent, rng):
-    """The loop with an explicit `ei` call at each start, ahead of the ascent."""
+    """The loop with an explicit `ei` call at each start, ahead of the ascent.
+
+    Every value seen is kept, in order, and the first of the largest wins.
+    """
     dim = model.design.shape[1]
     starts = [np.asarray(incumbent, dtype=float).reshape(-1), *lhs(2 * dim, dim, rng)]
+    seen = []  # (EI, point)
     calls = 0
 
     def objective(x):
         nonlocal calls
         calls += 1
         value, grad = ei_and_grad(model, x, y_min)
+        seen.append((value, x.copy()))
         return -value, -grad
 
-    best_x, best_val = None, -np.inf
     for x0 in starts:
         x0 = np.clip(x0, 0.0, 1.0)
-        f0 = float(ei(model, x0[None, :], y_min)[0])
-        if f0 > best_val:
-            best_val, best_x = f0, x0.copy()
-        res = minimize(
+        seen.append((float(ei(model, x0[None, :], y_min)[0]), x0))
+        minimize(
             objective, x0, jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * dim,
             options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-16},
         )
-        if np.isfinite(res.fun) and -res.fun > best_val:
-            best_val, best_x = float(-res.fun), np.clip(res.x, 0.0, 1.0)
-    return best_x, max(best_val, 0.0), calls
+    value, point = seen[int(np.argmax([v for v, _ in seen]))]
+    return point, value, calls
 
 
 @pytest.mark.parametrize(
     "seed, n, dim, shift",
-    [(40, 20, 2, 0.0), (41, 12, 3, -0.5), (42, 30, 1, 0.0), (43, 15, 4, 0.3)],
+    [(40, 20, 2, 0.0), (41, 12, 3, -0.5), (42, 30, 1, 0.0), (43, 15, 4, 0.3), (24, 30, 4, 0.0)],
 )
 def test_multistart_equals_the_explicit_start_ei_loop(seed, n, dim, shift):
     model, X, y = _toy_model(seed, n=n, dim=dim)
@@ -346,6 +347,54 @@ def test_multistart_equals_the_explicit_start_ei_loop(seed, n, dim, shift):
     assert res.point.tobytes() == point.tobytes()
     assert res.acq_value == value
     assert res.evaluations == calls
+
+
+@pytest.mark.parametrize("seed, n, dim", [(24, 30, 4), (39, 30, 4), (60, 20, 2), (63, 25, 5)])
+def test_multistart_returns_the_best_ei_it_evaluated(monkeypatch, seed, n, dim):
+    # L-BFGS-B can end on a line search that failed: it then reports the last
+    # trial's value for the previous iterate, and neither is the best seen
+    model, X, y = _toy_model(seed, n=n, dim=dim)
+    y_min = float(y.min())
+    evaluated = []
+
+    def recorded(*args):
+        value, grad = ei_and_grad(*args)
+        evaluated.append(value)
+        return value, grad
+
+    monkeypatch.setattr(acquisition, "ei_and_grad", recorded)
+    res = multistart_opt(model, y_min, X[int(np.argmin(y))], np.random.default_rng(seed))
+    want = ei(model, res.point[None, :], y_min)[0]
+    assert np.float64(res.acq_value).tobytes() == want.tobytes()
+    assert max(evaluated) <= res.acq_value
+    assert res.evaluations == len(evaluated)
+
+
+def test_multistart_copies_the_point_it_keeps(monkeypatch):
+    # an optimizer may move the array it passes in place between evaluations;
+    # this one ends each search at a point it never evaluated
+    def in_place(objective, x0, **kwargs):
+        x = x0.copy()
+        for _ in range(2):
+            objective(x)
+            x *= 0.5
+
+    monkeypatch.setattr(acquisition, "minimize", in_place)
+    model, X, y = _toy_model(24, n=30, dim=4)
+    y_min = float(y.min())
+    res = multistart_opt(model, y_min, X[int(np.argmin(y))], np.random.default_rng(24))
+    assert res.acq_value == ei(model, res.point[None, :], y_min)[0]
+    assert res.evaluations == 2 * (2 * 4 + 1)
+
+
+def test_a_flat_surface_returns_the_incumbent():
+    # every EI is exactly 0 far above the incumbent: ties go to the earliest
+    # point evaluated, which is the (clipped) incumbent
+    model, X, y = _toy_model(25)
+    incumbent = X[int(np.argmin(y))] + 0.7
+    res = multistart_opt(model, float(y.min()) - 1e6, incumbent, np.random.default_rng(26))
+    assert res.acq_value == 0.0
+    assert res.point.tobytes() == np.clip(incumbent, 0.0, 1.0).tobytes()
 
 
 def test_evaluations_count_objective_calls_and_starts_cost_none(monkeypatch):

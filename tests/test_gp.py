@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotri
+from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
 from vorbo import gp
@@ -325,14 +326,16 @@ def test_fit_improves_on_warm_start():
 
 @pytest.mark.parametrize("warm", [0.01, 0.5, 5.0])
 def test_fit_evaluates_the_likelihood_once_per_optimizer_evaluation(warm, monkeypatch):
-    # the guard against ending worse than the warm start reuses the
-    # optimizer's first evaluation, which is at the warm start
-    thetas, nfevs = [], []
+    # the fit keeps the lowest likelihood the optimizer evaluated, the first
+    # of them at the warm start, and builds there
+    thetas, nlls, nfevs = [], [], []
     real_nll, real_minimize = gp._nll_and_grad, gp.minimize
 
     def counting_nll(theta, *args):
         thetas.append(theta.copy())
-        return real_nll(theta, *args)
+        nll, grad = real_nll(theta, *args)
+        nlls.append(nll)
+        return nll, grad
 
     def recording_minimize(*args, **kwargs):
         res = real_minimize(*args, **kwargs)
@@ -342,25 +345,31 @@ def test_fit_evaluates_the_likelihood_once_per_optimizer_evaluation(warm, monkey
     monkeypatch.setattr(gp, "_nll_and_grad", counting_nll)
     monkeypatch.setattr(gp, "minimize", recording_minimize)
     X, y = _fit_data(13, n=40, dim=5)
-    gp.fit(X, y, np.full(5, warm))
+    model = gp.fit(X, y, np.full(5, warm))
     assert len(nfevs) == 1 and len(thetas) == nfevs[0]
     np.testing.assert_array_equal(thetas[0], np.log(np.full(5, warm)))
+    best = int(np.argmin(nlls))  # ties to the first
+    assert model.lengthscales.tobytes() == np.exp(thetas[best]).tobytes()
 
 
-@pytest.mark.parametrize("fun", [1e30, np.nan])
+@pytest.mark.parametrize("fun", [1e30, np.nan, -1e30])
 def test_fit_keeps_the_warm_start_when_the_optimizer_ends_worse(fun, monkeypatch):
-    real_minimize = gp.minimize
-
+    # an abnormal line-search stop can return a point, and a value, other
+    # than those of the best point evaluated; `fit` reads neither.  The
+    # iterate moves in place, as an optimizer may move the array it passes.
     def worse(objective, x0, **kwargs):
-        res = real_minimize(objective, x0, **kwargs)
-        res.x, res.fun = x0 + 1.0, fun
-        return res
+        x = x0.copy()
+        start_nll, _ = objective(x)
+        x += 1.0
+        worse_nll, _ = objective(x)
+        assert worse_nll > start_nll
+        return OptimizeResult(x=x, fun=fun, nfev=2, success=False)
 
     monkeypatch.setattr(gp, "minimize", worse)
     X, y = _fit_data(14)
     init = np.full(2, 0.5)
     model = gp.fit(X, y, init)
-    np.testing.assert_allclose(model.lengthscales, init, rtol=1e-15)
+    np.testing.assert_array_equal(model.lengthscales, np.exp(np.log(init)))
 
 
 def test_fit_recovers_known_lengthscale():
