@@ -50,16 +50,24 @@ def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return diff.max(axis=-1)
 
 
-def nearest_batch(points: np.ndarray, queries: np.ndarray, metric: Metric) -> np.ndarray:
+def nearest_batch(
+    points: np.ndarray, queries: np.ndarray, metric: Metric, runners_up: int = 0
+) -> np.ndarray:
     """Index of the nearest of `points` (N x P, N >= 1) for each query row.
 
     Ties go to the smallest index.  The M x P `queries` need not lie inside
     the unit cube; the result is an (M,) integer array of indices into
-    `points`.
+    `points`.  With `runners_up` = k > 0 it is M x (k + 1): column 0 as
+    before, then the next k nearest in order (k clamped to N - 1), each the
+    first minimum of the same distance block once those found are set to inf.
     """
+    k = min(runners_up, points.shape[0] - 1)
     chunk = max(1, _CHUNK_ELEMS // points.shape[0])
-    out = np.empty(queries.shape[0], dtype=np.intp)
+    out = np.empty((queries.shape[0], k + 1), dtype=np.intp)
     for lo in range(0, queries.shape[0], chunk):
         d = cdist(queries[lo : lo + chunk], points, "minkowski", p=metric.p)
-        out[lo : lo + chunk] = np.argmin(d, axis=1)
-    return out
+        for j in range(k + 1):
+            out[lo : lo + chunk, j] = found = np.argmin(d, axis=1)
+            if j < k:
+                d[np.arange(len(d)), found] = np.inf
+    return out if runners_up else out[:, 0]

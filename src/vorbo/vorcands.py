@@ -19,7 +19,10 @@ If the probe's nearest design point x_j (ties to the smaller index) is
 x_n, that end is certified; otherwise t jumps to the exact crossing of the
 bisector of x_n and x_j with the ray (closed form under every metric).
 Each round costs one owner query (`nn_index.nearest_batch`), batched over
-the live walks, and a walk typically needs two or three.  Probes are
+the live walks, and a walk typically needs two or three.  A seeded walk
+starts at the lowest crossing among a few runner-ups of an owner query
+`walk_sample` makes anyway, an upper bound on its exit, and most then
+need one round.  Probes are
 evaluated where they land, outside the unit cube included --
 nearest-neighbour identity is well defined on all of R^P -- so the walk
 tracks the true cell face even when that face lies beyond a cube wall.
@@ -65,6 +68,9 @@ _NORM_SLACK = 1e-9
 #: A direction shorter than this (a precandidate on its design point, or a
 #: vanishing normal draw) is unusable and is redrawn uniformly at random.
 _DEGENERATE_NORM = 1e-12
+
+#: Runner-ups of an owner query that `walk_sample` passes as seeds to `vorwalk`.
+_SEEDS = 4
 
 STRATEGIES = ("unif", "rect", "proj")
 
@@ -140,8 +146,8 @@ def _crossing(
     if metric is Metric.L2:
         # g >= 0  <=>  |w|^2 - 2 t u.w >= 0, which is 0 at a single t
         uw = (directions * w).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            return np.where(uw > 0.0, (w * w).sum(axis=1) / (2.0 * uw), np.inf)
+        cross = np.full(len(w), np.inf)
+        return np.divide((w * w).sum(axis=1), 2.0 * uw, out=cross, where=uw > 0.0)
     if metric is Metric.LINF:
         # g >= 0  <=>  |t*u_i - w_i| >= t*m for some i, m = max|u|: a union
         # of the 2P intervals t <= -w_i / (m - u_i) and t <= w_i / (m + u_i);
@@ -175,7 +181,11 @@ def _crossing(
 
 
 def vorwalk(
-    design: np.ndarray, origins: np.ndarray, directions: np.ndarray, metric: Metric
+    design: np.ndarray,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    metric: Metric,
+    seeds: np.ndarray | None = None,
 ) -> CandidateSet:
     """Run a batch of walks against `design` under `metric`.
 
@@ -188,6 +198,12 @@ def vorwalk(
     the ray, strictly lower in exact arithmetic, and keeps the owner as its
     blocker.  A walk whose crossing does not lower t (rounding) goes to the
     fallback.
+
+    `seeds`, a (walks x k) array of design indices, moves each walk before
+    the first round to the lowest crossing among its seeds, ties to the
+    smaller index, if that lies below the top bracket.  `_crossing`'s g(t)
+    is non-increasing, so the exit is the lowest crossing over all design
+    points and any seed's bounds it from above: the rounds go on as before.
 
     An upper end is certified when its blocker beats the origin there
     (nearer, or tied with the smaller index) by `distance`, the query's own
@@ -223,6 +239,15 @@ def vorwalk(
     t = np.full(len(origins), 1.0 - 0.5 * width)
     blocker = origins.copy()
     certified = np.zeros(len(origins), dtype=bool)
+
+    # seed: start at the lowest crossing among the seeds (in index order, so
+    # ties go to the smaller), where it is below t; a seed on its origin never crosses
+    if seeds is not None:
+        rows = np.flatnonzero((seeds != origins[:, None]).any(axis=1))
+        for s in np.sort(seeds[rows], axis=1).T:
+            cross = _crossing(metric, anchors[rows], directions[rows], design[s], s < origins[rows])
+            lower = cross < t[rows]
+            t[rows[lower]], blocker[rows[lower]] = cross[lower], s[lower]
 
     # shoot: query each live walk's lower end; the origin owning it certifies
     # that end, and any other owner moves the walk down to its own crossing
@@ -307,13 +332,16 @@ def _walk_batch(
     metric: Metric,
     incumbent: int | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origins and directions of the distinct walks of one strategy, and `rows`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Origins and directions of the distinct walks of one strategy, `rows`, and seeds.
 
     The batch of `count` walks (see `walk_sample`) is walk `rows[c]` of the
     returned ones for each c.  A rect walk is fixed by its origin and signed
     axis, both drawn with replacement, so only rect batches repeat walks; the
-    others return every walk, with `rows` = 0, 1, ..., count - 1.
+    others return every walk, with `rows` = 0, 1, ..., count - 1.  Seeds are
+    the runner-ups of each proj walk's precandidate query, or of one query of
+    the incumbent's row for walks from it; other walks get their origin, which
+    seeds nothing, and a batch with neither gets None.
     """
     n, dim = design.shape
     if count < 1:
@@ -325,8 +353,9 @@ def _walk_batch(
     if strategy == "proj":
         # one walk from each precandidate's nearest design point toward it
         pre = lhs(count, dim, rng)
-        origins = nn_index.nearest_batch(design, pre, metric)
-        return origins, _scaled(pre - design[origins], Metric.L2, scale, rng), np.arange(count)
+        near = nn_index.nearest_batch(design, pre, metric, runners_up=_SEEDS)
+        d = _scaled(pre - design[near[:, 0]], Metric.L2, scale, rng)
+        return near[:, 0], d, np.arange(count), near[:, 1:]
 
     # origins before directions; with an incumbent, the other origins are
     # drawn from the other n - 1 points (all zeros when it is the only one)
@@ -342,14 +371,18 @@ def _walk_batch(
         origins = np.concatenate([np.full(n_inc, incumbent, dtype=np.intp), others.astype(np.intp)])
 
     if strategy == "unif":
-        d = _scaled(rng.standard_normal((count, dim)), metric, scale, rng)
-        return origins, d, np.arange(count)
-    axes = rng.integers(0, 2 * dim, size=count)
-    _, first, rows = np.unique(origins * (2 * dim) + axes, return_index=True, return_inverse=True)
-    origins, axes = origins[first], axes[first]
-    d = np.zeros((first.size, dim))
-    d[np.arange(first.size), axes % dim] = np.where(axes < dim, scale, -scale)
-    return origins, d, rows
+        d, rows = _scaled(rng.standard_normal((count, dim)), metric, scale, rng), np.arange(count)
+    else:
+        axes = rng.integers(0, 2 * dim, size=count)
+        keys = origins * (2 * dim) + axes
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        origins, axes = origins[first], axes[first]
+        d = np.zeros((first.size, dim))
+        d[np.arange(first.size), axes % dim] = np.where(axes < dim, scale, -scale)
+    if incumbent is None:
+        return origins, d, rows, None
+    ups = nn_index.nearest_batch(design, design[[incumbent]], metric, runners_up=_SEEDS)[:, 1:]
+    return origins, d, rows, np.where((origins == incumbent)[:, None], ups, origins[:, None])
 
 
 def walk_sample(
@@ -376,8 +409,8 @@ def walk_sample(
     pulled halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
-    origins, directions, rows = _walk_batch(design, count, strategy, metric, incumbent, rng)
-    return _halfway_rule(vorwalk(design, origins, directions, metric).take(rows), design)
+    origins, directions, rows, seeds = _walk_batch(design, count, strategy, metric, incumbent, rng)
+    return _halfway_rule(vorwalk(design, origins, directions, metric, seeds).take(rows), design)
 
 
 def scheme_final(

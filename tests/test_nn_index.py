@@ -87,3 +87,48 @@ def test_brute_fallback_chunks_agree(monkeypatch):
     got = nn_index.nearest_batch(pts, mids, Metric.LINF)
     want = [_reference_nearest(pts, q, Metric.LINF) for q in mids]
     np.testing.assert_array_equal(got, want)
+
+
+def _tie_heavy_queries(rng):
+    """Points with a repeated row, and queries on pair midpoints (exact ties)."""
+    pts = rng.random((40, 4))
+    pts[7] = pts[3]
+    i, j = rng.integers(0, 40, size=(2, 200))
+    return pts, np.vstack([0.5 * (pts[i] + pts[j]), rng.random((50, 4)) * 1.4 - 0.2])
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_runners_up_follow_the_owner_in_order(metric):
+    pts, queries = _tie_heavy_queries(np.random.default_rng(12))
+    plain = nn_index.nearest_batch(pts, queries, metric)
+    got = nn_index.nearest_batch(pts, queries, metric, runners_up=4)
+    assert got.shape == (len(queries), 5)
+    # column 0 is the plain call's owner, bit for bit, ties included
+    assert got[:, 0].tobytes() == plain.tobytes()
+    # distinct, never the owner, and the k + 1 smallest distances in order,
+    # ties to the smaller index: a stable sort of the brute-force distances
+    assert all(len(set(row)) == 5 for row in got.tolist())
+    d = nn_index.distance(metric, pts[None, :, :], queries[:, None, :])
+    np.testing.assert_array_equal(got, np.argsort(d, axis=1, kind="stable")[:, :5])
+    np.testing.assert_array_equal(np.take_along_axis(d, got, axis=1), np.sort(d, axis=1)[:, :5])
+
+
+def test_runners_up_clamp_to_the_other_points():
+    pts = np.random.default_rng(13).random((5, 3))
+    queries = np.random.default_rng(14).random((9, 3))
+    for k in (4, 5, 50):
+        got = nn_index.nearest_batch(pts, queries, Metric.L2, runners_up=k)
+        assert got.shape == (9, 5)
+        np.testing.assert_array_equal(np.sort(got, axis=1), np.tile(np.arange(5), (9, 1)))
+    # one point has no runner-up; zero runner-ups keep the plain (M,) result
+    assert nn_index.nearest_batch(pts[:1], queries, Metric.L1, runners_up=3).shape == (9, 1)
+    assert nn_index.nearest_batch(pts, queries, Metric.L1, runners_up=0).shape == (9,)
+    assert nn_index.nearest_batch(pts, queries[:0], Metric.L1, runners_up=2).shape == (0, 3)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_runners_up_agree_across_chunks(metric, monkeypatch):
+    pts, queries = _tie_heavy_queries(np.random.default_rng(15))
+    whole = nn_index.nearest_batch(pts, queries, metric, runners_up=3)
+    monkeypatch.setattr(nn_index, "_CHUNK_ELEMS", 3 * len(pts))  # 3 query rows per block
+    np.testing.assert_array_equal(nn_index.nearest_batch(pts, queries, metric, runners_up=3), whole)

@@ -150,9 +150,9 @@ def nn_queries(monkeypatch):
     """Every batched nearest-neighbour query vorwalk makes, in order."""
     queries = []
 
-    def recording(points, q, metric):
+    def recording(points, q, metric, **kwargs):
         queries.append(np.array(q))
-        return real_nearest(points, q, metric)
+        return real_nearest(points, q, metric, **kwargs)
 
     monkeypatch.setattr(vorcands.nn_index, "nearest_batch", recording)
     return queries
@@ -163,9 +163,9 @@ def nn_rows(monkeypatch):
     """Rows of every batched nearest-neighbour query vorwalk makes, in order."""
     rows = []
 
-    def counting(points, queries, metric):
+    def counting(points, queries, metric, **kwargs):
         rows.append(len(queries))
-        return real_nearest(points, queries, metric)
+        return real_nearest(points, queries, metric, **kwargs)
 
     monkeypatch.setattr(vorcands.nn_index, "nearest_batch", counting)
     return rows
@@ -281,7 +281,7 @@ def test_pair_check_agrees_with_the_query(metric, dim):
     rng = np.random.default_rng(107)
     if metric is Metric.LINF:
         design = _rect_grown_design(dim, rng)
-        origins, directions, _ = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
+        origins, directions, _, _ = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
     else:
         design = rng.random((200, dim))
         origins, directions = _random_batch(design, 300, rng)
@@ -401,7 +401,7 @@ def test_l1_crossing_matches_bisection(dim, strategy):
     # meets it, or, where that is the origin, a point near the ray ahead
     rng = np.random.default_rng([109, dim])
     design = rng.random((40, dim))
-    origins, directions, _ = vorcands._walk_batch(design, 400, strategy, Metric.L1, None, rng)
+    origins, directions, _, _ = vorcands._walk_batch(design, 400, strategy, Metric.L1, None, rng)
     anchors = design[origins]
     owners = real_nearest(design, anchors + directions, Metric.L1)
     met = owners != origins
@@ -535,6 +535,119 @@ def test_brute_owner_breaks_near_ties_as_the_query_does():
     np.testing.assert_array_equal(_brute_owner(design, queries, Metric.L2), want)
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+def test_walks_from_a_repeated_row_are_bisected(metric):
+    # row 2 repeats row 0, which owns every point the two tie on, so row 2's
+    # cell is empty: its walks are bisected to t = 0 and flagged.  The copy
+    # is a blocker or a seed at distance 0, where the L2 crossing is 0 / 0;
+    # the suite turns its RuntimeWarning into an error
+    design = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
+    rng = np.random.default_rng(116)
+    u = rng.standard_normal((20, 2))
+    u *= np.sqrt(2.0) * (1 + 1e-9) / distance(metric, u, 0.0)[:, None]
+    for origin, seeds in ((2, None), (2, [0, 1]), (2, [2, 1]), (0, [2, 1])):
+        seeds = None if seeds is None else np.tile(seeds, (20, 1))
+        cs = vorwalk(design, np.full(20, origin), u, metric, seeds)
+        if origin == 2:
+            assert cs.uncertified.all() and (cs.t_lower == 0.0).all()
+        else:
+            assert not cs.uncertified.any()
+    for strategy in vorcands.STRATEGIES:
+        for incumbent in (0, 2, None):
+            cs = walk_sample(design, 60, strategy, metric, incumbent, rng)
+            np.testing.assert_array_equal(cs.uncertified, cs.origin == 2)
+
+
+# ---------------------------- seeded walks ----------------------------------
+
+
+def _fields(cs: CandidateSet) -> list[bytes]:
+    names = ("points", "boundary_hit", "uncertified", "origin", "t_lower", "directions")
+    return [getattr(cs, name).tobytes() for name in names]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 20, 100])
+@pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
+@pytest.mark.parametrize("metric", list(Metric))
+def test_seeded_walks_match_unseeded_walks(metric, strategy, dim, nn_rows):
+    # a seed only starts a walk lower, at an upper bound on its exit, so on
+    # a design with no near-ties the walk ends where the unseeded one does.
+    # Seeds: the batch's own (the incumbent's runner-ups, or each
+    # precandidate's), then the runner-ups of every walk's origin row
+    rng = np.random.default_rng([113, dim])
+    design = rng.random((200, dim))
+    origins, directions, _, seeds = vorcands._walk_batch(design, 300, strategy, metric, 0, rng)
+    own = real_nearest(design, design[origins], metric, runners_up=vorcands._SEEDS)[:, 1:]
+    nn_rows.clear()
+    plain = vorwalk(design, origins, directions, metric)
+    unseeded_rows = sum(nn_rows)
+    for s in (seeds, own):
+        nn_rows.clear()
+        cs = vorwalk(design, origins, directions, metric, s)
+        assert _fields(cs) == _fields(plain)
+        assert sum(nn_rows) <= unseeded_rows
+    if not plain.boundary_hit.all():  # a closed walk skips its far end's probe
+        assert sum(nn_rows) < unseeded_rows
+
+
+def _all_crossings(metric, design, origins, directions):
+    """Walks x N: the crossing of every design point's bisector with every walk."""
+    anchors = design[origins]
+    cross = [
+        real_crossing(metric, anchors, directions, np.broadcast_to(x, anchors.shape), j < origins)
+        for j, x in enumerate(design)
+    ]
+    return np.stack(cross, axis=1)
+
+
+@pytest.mark.parametrize(
+    "metric, grown", [(m, False) for m in Metric] + [(Metric.LINF, True)]
+)
+def test_adversarial_seeds_keep_every_bracket_certified(metric, grown):
+    # any seed's crossing is an upper bound on the exit, so seeds that are
+    # random points, the origin itself, or the point that crosses last (past
+    # t = 1 where the step allows) leave every certified bracket right: the
+    # origin owns its lower end and loses its upper end.  The rect-grown
+    # design holds L-inf interval ties
+    rng = np.random.default_rng(114)
+    if grown:
+        design = _rect_grown_design(5, rng)
+        origins, directions, _, _ = vorcands._walk_batch(design, 300, "rect", metric, None, rng)
+    else:
+        design = rng.random((40, 5))
+        origins, directions = _random_batch(design, 300, rng)
+    cross = _all_crossings(metric, design, origins, directions)
+    far = np.where(np.isfinite(cross), cross, -1.0).argmax(axis=1)
+    if not grown:
+        assert (cross[np.arange(len(far)), far] > 1.0).sum() > 50
+    random = rng.integers(0, len(design), size=(len(origins), 2))
+    seeds = np.column_stack([random[:, 0], origins, far, random[:, 1]])
+    cs = vorwalk(design, origins, directions, metric, seeds)
+
+    anchors = design[origins]
+    ok = ~cs.uncertified
+    assert ok.sum() > 250
+    lo = anchors + cs.t_lower[:, None] * directions
+    hi = anchors + (cs.t_lower + cs.bracket_width)[:, None] * directions
+    assert (_brute_owner(design, lo, metric) == origins)[ok].all()
+    assert (_brute_owner(design, hi, metric) != origins)[ok & ~cs.boundary_hit].all()
+    assert (ok & ~cs.boundary_hit).sum() > 50
+    if not grown:  # no near-ties: every walk ends where the unseeded one does
+        assert _fields(cs) == _fields(vorwalk(design, origins, directions, metric))
+
+
+def test_seeded_scheme_takes_few_query_rows_at_p100(nn_rows):
+    # criterion 5's design shape, N = 2000 and P = 100, one call per parity.
+    # Every walk would first probe its far end; seeds from the incumbent's
+    # query and the precandidates' start most walks at their exit instead
+    design = np.random.default_rng(115).random((2000, 100))
+    for iteration in (0, 1):
+        nn_rows.clear()
+        cs = scheme_final(design, 200, iteration, 7, np.random.default_rng([115, iteration]))
+        assert not cs.uncertified.any()
+        assert sum(nn_rows) <= 2.5 * len(cs)
+
+
 # --------------------------- halfway rule -----------------------------------
 
 
@@ -619,8 +732,8 @@ def test_rect_batch_walks_each_distinct_walk_once(metric, monkeypatch):
     # unif and proj batches repeat no walk: the proportion is the batch's own
     for strategy in ("unif", "proj"):
         rng = np.random.default_rng(204)
-        origins, directions, _ = vorcands._walk_batch(design, 2500, strategy, metric, None, rng)
-        prop = vorwalk(design, origins, directions, metric).boundary_hit.mean()
+        walks = vorcands._walk_batch(design, 2500, strategy, metric, None, rng)
+        prop = vorwalk(design, *walks[:2], metric, walks[3]).boundary_hit.mean()
         assert 0.0 < prop < 1.0
         rng = np.random.default_rng(204)
         assert boundary_proportion(design, 2500, strategy, metric, rng) == prop
