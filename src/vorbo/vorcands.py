@@ -19,10 +19,10 @@ If the probe's nearest design point x_j (ties to the smaller index) is
 x_n, that end is certified; otherwise t jumps to the exact crossing of the
 bisector of x_n and x_j with the ray (closed form under every metric).
 Each round costs one owner query (`nn_index.nearest_batch`), batched over
-the live walks, and a walk typically needs two or three.  A seeded walk
-starts at the lowest crossing among a few runner-ups of an owner query
-`walk_sample` makes anyway, an upper bound on its exit, and most then
-need one round.  Probes are
+the live walks, and a walk typically needs two or three.  One seed rule
+serves every batch with an incumbent or precandidates: a walk starts at the
+lowest crossing among a few runner-ups of the owner query that named its
+origin, an upper bound on its exit, and most then need one round.  Probes are
 evaluated where they land, outside the unit cube included --
 nearest-neighbour identity is well defined on all of R^P -- so the walk
 tracks the true cell face even when that face lies beyond a cube wall.
@@ -229,6 +229,11 @@ def vorwalk(
         )
     if origins.min(initial=0) < 0 or origins.max(initial=0) >= n:
         raise ValueError("origin indices out of range")
+    if seeds is not None:
+        if seeds.ndim != 2 or len(seeds) != len(origins) or seeds.dtype.kind not in "iu":
+            raise ValueError(f"seeds must be a 2-D integer array with {len(origins)} rows")
+        if seeds.min(initial=0) < 0 or seeds.max(initial=0) >= n:
+            raise ValueError("seed indices out of range")
     if not np.isfinite(directions).all():
         raise ValueError("directions must be finite")
     if not (distance(Metric.L2, directions, 0.0) > 0.0).all():
@@ -243,11 +248,10 @@ def vorwalk(
     # seed: start at the lowest crossing among the seeds (in index order, so
     # ties go to the smaller), where it is below t; a seed on its origin never crosses
     if seeds is not None:
-        rows = np.flatnonzero((seeds != origins[:, None]).any(axis=1))
-        for s in np.sort(seeds[rows], axis=1).T:
-            cross = _crossing(metric, anchors[rows], directions[rows], design[s], s < origins[rows])
-            lower = cross < t[rows]
-            t[rows[lower]], blocker[rows[lower]] = cross[lower], s[lower]
+        for s in np.sort(seeds, axis=1).T:
+            cross = _crossing(metric, anchors, directions, design[s], s < origins)
+            lower = cross < t
+            t[lower], blocker[lower] = cross[lower], s[lower]
 
     # shoot: query each live walk's lower end; the origin owning it certifies
     # that end, and any other owner moves the walk down to its own crossing
@@ -338,10 +342,9 @@ def _walk_batch(
     The batch of `count` walks (see `walk_sample`) is walk `rows[c]` of the
     returned ones for each c.  A rect walk is fixed by its origin and signed
     axis, both drawn with replacement, so only rect batches repeat walks; the
-    others return every walk, with `rows` = 0, 1, ..., count - 1.  Seeds are
-    the runner-ups of each proj walk's precandidate query, or of one query of
-    the incumbent's row for walks from it; other walks get their origin, which
-    seeds nothing, and a batch with neither gets None.
+    others return every walk, with `rows` = 0, 1, ..., count - 1.  The seeds are
+    the runner-ups of the owner query naming each walk's origin: its precandidate's
+    for proj, else one query of every distinct origin's row, or None without an incumbent.
     """
     n, dim = design.shape
     if count < 1:
@@ -381,8 +384,9 @@ def _walk_batch(
         d[np.arange(first.size), axes % dim] = np.where(axes < dim, scale, -scale)
     if incumbent is None:
         return origins, d, rows, None
-    ups = nn_index.nearest_batch(design, design[[incumbent]], metric, runners_up=_SEEDS)[:, 1:]
-    return origins, d, rows, np.where((origins == incumbent)[:, None], ups, origins[:, None])
+    distinct, at = np.unique(origins, return_inverse=True)
+    ups = nn_index.nearest_batch(design, design[distinct], metric, runners_up=_SEEDS)[:, 1:]
+    return origins, d, rows, ups[at]
 
 
 def walk_sample(
@@ -405,8 +409,9 @@ def walk_sample(
     walk at its nearest design point, aimed at z with Euclidean length
     sqrt(P), so the candidates inherit the hypercube's spread without an
     origin bias; a z on its design point carries no direction and is
-    redirected uniformly at random.  Flagged or clamped candidates are
-    pulled halfway back toward their origins (`_halfway_rule`).
+    redirected uniformly at random.  Walks start at their origin's runner-ups
+    (the seeds of `_walk_batch`), and flagged or clamped candidates are pulled
+    halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
     origins, directions, rows, seeds = _walk_batch(design, count, strategy, metric, incumbent, rng)

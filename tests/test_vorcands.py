@@ -360,6 +360,18 @@ def test_walk_batch_validation():
     for empty in (design[:0], design[:, :0]):
         with pytest.raises(ValueError, match="P >= 1"):
             vorwalk(empty, origins, directions, Metric.L2)
+    # seeds are checked like origins: a negative one would pass the tie rule
+    # (blocker < origin) for row N - 1, a large one would index past the design
+    seeds = np.zeros((5, 2), dtype=np.intp)
+    for bad, match in (
+        (seeds - 1, "seed indices"),
+        (seeds + 10, "seed indices"),
+        (seeds[:4], "5 rows"),
+        (seeds[:, 0], "5 rows"),
+        (seeds.astype(float), "integer"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            vorwalk(design, origins, directions, Metric.L2, bad)
     # short directions are legal: the walk just flags more wall hits
     assert len(vorwalk(design, origins, directions * 0.1, Metric.L2)) == 5
 
@@ -572,16 +584,18 @@ def _fields(cs: CandidateSet) -> list[bytes]:
 def test_seeded_walks_match_unseeded_walks(metric, strategy, dim, nn_rows):
     # a seed only starts a walk lower, at an upper bound on its exit, so on
     # a design with no near-ties the walk ends where the unseeded one does.
-    # Seeds: the batch's own (the incumbent's runner-ups, or each
-    # precandidate's), then the runner-ups of every walk's origin row
+    # Seeds: the origin itself, whose crossing is inf, so the walk is the
+    # unseeded one; the batch's own (each precandidate's runner-ups for proj,
+    # the origin row's otherwise); then the runner-ups of every origin row
     rng = np.random.default_rng([113, dim])
     design = rng.random((200, dim))
     origins, directions, _, seeds = vorcands._walk_batch(design, 300, strategy, metric, 0, rng)
     own = real_nearest(design, design[origins], metric, runners_up=vorcands._SEEDS)[:, 1:]
+    itself = np.repeat(origins[:, None], vorcands._SEEDS, axis=1)
     nn_rows.clear()
     plain = vorwalk(design, origins, directions, metric)
     unseeded_rows = sum(nn_rows)
-    for s in (seeds, own):
+    for s in (itself, seeds, own):
         nn_rows.clear()
         cs = vorwalk(design, origins, directions, metric, s)
         assert _fields(cs) == _fields(plain)
@@ -636,10 +650,32 @@ def test_adversarial_seeds_keep_every_bracket_certified(metric, grown):
         assert _fields(cs) == _fields(vorwalk(design, origins, directions, metric))
 
 
+@pytest.mark.parametrize("strategy", ["unif", "rect"])
+@pytest.mark.parametrize("metric", list(Metric))
+def test_walks_from_design_points_take_their_origins_runner_ups(metric, strategy):
+    # one seed rule: with an incumbent, each walk's seeds are its origin
+    # row's runner-ups, whether the walk starts at the incumbent or not
+    rng = np.random.default_rng([117, len(metric.value)])
+    design = rng.random((60, 4))
+    origins, _, _, seeds = vorcands._walk_batch(design, 400, strategy, metric, 5, rng)
+    assert (origins != 5).sum() > 100
+    want = real_nearest(design, design[origins], metric, runners_up=vorcands._SEEDS)[:, 1:]
+    np.testing.assert_array_equal(seeds, want)
+
+
+def test_seeded_axis_scheme_takes_few_query_rows_beyond_the_incumbent(nn_rows):
+    # C = 1000 > 2P walks, so most start at random design points; seeded from
+    # their own rows, they take about as few rows as the incumbent's walks
+    design = np.random.default_rng(118).random((300, 100))
+    cs = scheme_final(design, 1000, 0, 7, np.random.default_rng(118))
+    assert not cs.uncertified.any()
+    assert sum(nn_rows) <= 2.0 * len(cs)
+
+
 def test_seeded_scheme_takes_few_query_rows_at_p100(nn_rows):
     # criterion 5's design shape, N = 2000 and P = 100, one call per parity.
-    # Every walk would first probe its far end; seeds from the incumbent's
-    # query and the precandidates' start most walks at their exit instead
+    # Every walk would first probe its far end; seeds from its origin row's
+    # query or its precandidate's start most walks at their exit instead
     design = np.random.default_rng(115).random((2000, 100))
     for iteration in (0, 1):
         nn_rows.clear()
