@@ -44,7 +44,10 @@ has length sqrt(P), short of the cube's L1 diameter P, and can end inside.
 repeats, only once), and pulls every flagged or clamped candidate halfway
 back toward its origin, which keeps candidates off the (rarely optimal)
 faces of the cube, keeping the direction searched.  `scheme_final` (the
-optimizer's scheme) and `boundary_proportion` (the wall-hit study) share it.
+optimizer's scheme) walks such batches.  `boundary_proportion` (the wall-hit
+study) draws the same batches but walks none: a walk is flagged when its
+origin owns the lower end of its top bracket, so one owner query per walk
+settles the flag (exactly, but for a proj seed crossing in that bracket).
 """
 
 from __future__ import annotations
@@ -220,8 +223,8 @@ def vorwalk(
     """
     design = _as_design(design)
     n, dim = design.shape
-    if origins.ndim != 1 or directions.ndim != 2:
-        raise ValueError("origins must be 1-D and directions 2-D")
+    if origins.ndim != 1 or origins.dtype.kind not in "iu" or directions.ndim != 2:
+        raise ValueError("origins must be a 1-D integer array and directions 2-D")
     if directions.shape != (origins.shape[0], dim):
         raise ValueError(
             f"directions shape {directions.shape} does not match "
@@ -446,12 +449,26 @@ def boundary_proportion(
     metric: Metric,
     rng: np.random.Generator,
 ) -> float:
-    """Fraction of walks flagged as wall hits.
+    """Fraction of `count` walks of `walk_sample` flagged as wall hits.
 
-    Runs `count` walks of `walk_sample` with unbiased origins (uniform over
-    all design points for "unif"/"rect"; precandidate assignment for "proj")
-    and reports the mean of their `boundary_hit` flags: the fraction of walks
-    whose step ran out before the origin's cell did.  The flags are those of
-    the walks before the halfway pull-back, which moves only the points.
+    Draws the batch `walk_sample` would from the same stream (origins
+    uniform over the design for "unif"/"rect", precandidate owners for
+    "proj") and walks none of it.  With K = `BISECTION_ITERS`, `vorwalk`
+    flags a walk (t_hi = 1) only when its origin owns a + (1 - 2^-K) u, the
+    lower end of the top bracket: a walk that stays in the top bracket was
+    certified there by its first round, and a bisected one ends at t_hi = 1
+    only if its last probe, the same point, held.  Conversely a walk that
+    starts at the top and whose origin owns that point stops there flagged.
+    So one owner query per distinct walk at that point, formed bit for bit
+    as the first round forms it, gives the flags of the unseeded unif and
+    rect walks exactly, ties and rounding included.  A proj walk's seeds
+    start it lower only at a seed crossing below 1 - 2^-(K+1), past which the
+    seed takes the point from the origin unless the crossing lies in
+    [1 - 2^-K, 1 - 2^-(K+1)) or within rounding of it; only there can the
+    query and the walk differ.  The halfway pull-back moves points, not flags.
     """
-    return float(walk_sample(design, count, strategy, metric, None, rng).boundary_hit.mean())
+    design = _as_design(design)
+    origins, directions, rows, _ = _walk_batch(design, count, strategy, metric, None, rng)
+    ends = design[origins] + (1.0 - 0.5**BISECTION_ITERS) * directions
+    held = nn_index.nearest_batch(design, ends, metric) == origins
+    return float(held[rows].mean())

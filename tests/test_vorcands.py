@@ -160,7 +160,7 @@ def nn_queries(monkeypatch):
 
 @pytest.fixture
 def nn_rows(monkeypatch):
-    """Rows of every batched nearest-neighbour query vorwalk makes, in order."""
+    """Rows of every batched nearest-neighbour query `vorcands` makes, in order."""
     rows = []
 
     def counting(points, queries, metric, **kwargs):
@@ -341,6 +341,9 @@ def test_walk_batch_validation():
     origins, directions = _random_batch(design, 5, np.random.default_rng(1))
     with pytest.raises(ValueError, match="1-D"):
         vorwalk(design, origins[:, None], directions, Metric.L2)
+    # float origins are rejected as seeds are, not left to fail at indexing
+    with pytest.raises(ValueError, match="integer"):
+        vorwalk(design, np.arange(5.0), directions, Metric.L2)
     with pytest.raises(ValueError, match="does not match"):
         vorwalk(design, origins, directions[:, :2], Metric.L2)
     with pytest.raises(ValueError, match="norm"):
@@ -891,6 +894,8 @@ def test_boundary_proportion_range_and_validation():
 @pytest.mark.parametrize("dim", [2, 10])
 @pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
 def test_l1_wall_hit_proportions_match_bisected_crossings(n, dim, strategy, monkeypatch):
+    # the study walks nothing; the walks of the same stream, under the
+    # closed-form and under the bisected L1 crossing, are its oracle
     real_vorwalk = vorcands.vorwalk
     walks = []
 
@@ -900,8 +905,63 @@ def test_l1_wall_hit_proportions_match_bisected_crossings(n, dim, strategy, monk
 
     monkeypatch.setattr(vorcands, "vorwalk", recording)
     design = np.random.default_rng([110, n, dim]).random((n, dim))
-    study = lambda: boundary_proportion(design, 300, strategy, Metric.L1, np.random.default_rng(8))
-    closed_form = study()
-    monkeypatch.setattr(vorcands, "_crossing", _bisected_crossing)
-    assert study() == closed_form
+    study = boundary_proportion(design, 300, strategy, Metric.L1, np.random.default_rng(8))
+    assert not walks
+    for crossing in (real_crossing, _bisected_crossing):
+        monkeypatch.setattr(vorcands, "_crossing", crossing)
+        cs = walk_sample(design, 300, strategy, Metric.L1, None, np.random.default_rng(8))
+        assert cs.boundary_hit.mean() == study
+    assert len(walks) == 2 and all(len(cs) > 0 for cs in walks)
     assert not any(cs.uncertified.any() for cs in walks)
+
+
+def _study_designs() -> dict[str, np.ndarray]:
+    designs = {
+        f"{n}x{dim}": np.random.default_rng([120, n, dim]).random((n, dim))
+        for n, dim in ((10, 2), (100, 10), (1000, 2))
+    }
+    # row 2 repeats row 0, which owns every point the two tie on: row 2's
+    # walks all reach the fallback
+    designs["repeated-row"] = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
+    # rows 0 and 2 differ by 1e-9 in one coordinate, so across most of the
+    # cube their distances tie after rounding and many walks from the pair
+    # reach the fallback
+    for dim in (2, 5):
+        design = np.random.default_rng([121, dim]).random((3, dim))
+        design[2] = design[0]
+        design[2, 0] += 1e-9
+        designs[f"near-duplicate-{dim}"] = design
+    return designs
+
+
+_STUDY_DESIGNS = _study_designs()
+
+
+@pytest.mark.parametrize("name", list(_STUDY_DESIGNS))
+@pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
+@pytest.mark.parametrize("metric", list(Metric))
+def test_boundary_proportion_is_the_walked_flags_mean(metric, strategy, name):
+    design = _STUDY_DESIGNS[name]
+    bisected = 0
+    for seed in (30, 31):
+        cs = walk_sample(design, 400, strategy, metric, None, np.random.default_rng(seed))
+        prop = boundary_proportion(design, 400, strategy, metric, np.random.default_rng(seed))
+        assert prop == cs.boundary_hit.mean()
+        bisected += cs.uncertified.sum()
+    # the fallback's flags are among those compared; proj walks start at the
+    # owner of a point, so none of them reaches it on these designs
+    if name.startswith(("repeated", "near")) and strategy != "proj":
+        assert bisected > 0
+
+
+@pytest.mark.parametrize("strategy", vorcands.STRATEGIES)
+@pytest.mark.parametrize("metric", list(Metric))
+def test_boundary_proportion_makes_one_owner_query(metric, strategy, nn_rows):
+    # one query at the lower end of every distinct walk's top bracket, after
+    # proj's query of its precandidates
+    design = np.random.default_rng(122).random((100, 10))
+    boundary_proportion(design, 500, strategy, metric, np.random.default_rng(3))
+    if strategy == "proj":
+        assert nn_rows == [500, 500]
+    else:
+        assert len(nn_rows) == 1 and nn_rows[0] <= 500
