@@ -14,10 +14,10 @@ flag rejects a repeated value (`--method repeats vor, got 'vor,vor'`).
 This module formats every number and writes every file: the library
 returns records and values.  Every file-writing subcommand also writes a
 `<out>.meta.json` sidecar whose `settings` are its table's values (list
-flags, `run --method` too, as lists) and the package version (never
-timestamps, so identical invocations produce identical files).  `run` takes
-its settings from flags alone; --problem, --dim, --budget and --out are
-required.
+flags, `run --method` too, as lists), the package version and, under
+`threads`, the thread variables in effect (never timestamps, so identical
+invocations produce identical files).  `run` takes its settings from flags
+alone; --problem, --dim, --budget and --out are required.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ import os
 import re
 import sys
 import warnings
+
+# One BLAS and one OpenMP thread unless the caller set a value: the
+# surrogate's last bits, so a run's bytes, follow the thread count.  Set
+# before NumPy loads; `--jobs` workers inherit it.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+for _name in THREAD_VARS:
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -98,7 +105,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def _write_sidecar(args: argparse.Namespace, **extra) -> None:
     settings = {name: getattr(args, name) for name in args.settings}
-    payload = {"command": args.subcommand, "version": __version__, "settings": settings, **extra}
+    threads = {name: os.environ.get(name) for name in THREAD_VARS}
+    payload = {
+        "command": args.subcommand,
+        "version": __version__,
+        "settings": settings,
+        "threads": threads,
+        **extra,
+    }
     _write_lines(args.out + ".meta.json", [json.dumps(payload, indent=2, sort_keys=True)])
 
 

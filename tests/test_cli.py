@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vorbo import driver, gp
 from vorbo.bench import PROBLEMS, make_problem
-from vorbo.cli import main
+from vorbo.cli import THREAD_VARS, main
 
 
 def _run_args(out_path, **overrides):
@@ -40,6 +44,7 @@ def test_run_end_to_end(tmp_path):
 
     meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
     assert meta["command"] == "run"
+    assert meta["threads"] == {name: os.environ[name] for name in THREAD_VARS}
     assert meta["settings"]["budget"] == 8
     assert meta["settings"]["method"] == ["vor", "lhs"]
     assert meta["settings"] == {
@@ -320,6 +325,7 @@ def test_boundary_study_grid(tmp_path):
     assert meta["settings"]["count"] == 50
     assert meta["settings"]["sizes"] == [5]
     assert meta["command"] == "boundary-study"
+    assert meta["threads"] == {name: os.environ[name] for name in THREAD_VARS}
     assert meta["settings"] == {
         "count": 50, "dims": [2], "metrics": ["l1", "l2", "linf"], "reps": 1, "seed": 0,
         "sizes": [5], "strategies": ["unif", "rect", "proj"],
@@ -444,6 +450,7 @@ def test_candidates_schemes(tmp_path, scheme):
     assert ((coords >= 0.0) & (coords <= 1.0)).all()
     meta = json.loads((tmp_path / f"{scheme}.csv.meta.json").read_text())
     assert meta["command"] == "candidates"
+    assert meta["threads"] == {name: os.environ[name] for name in THREAD_VARS}
     assert meta["settings"] == {
         "count": 20, "design_file": None, "dim": 2, "incumbent": 0, "iteration": 0,
         "n": 8, "scheme": scheme, "seed": 0,
@@ -620,3 +627,54 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["optimize"])
     assert exc.value.code == 2
+
+
+# ------------------------------- thread pin ---------------------------------
+
+
+def _fresh_python(args: list[str], cwd, **threads: str) -> str:
+    """stdout of `python args` run in `cwd` by a new process whose environment
+    holds no thread variable but `threads`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**env, **threads},
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ).stdout
+
+
+def test_cli_runs_on_one_thread_unless_the_caller_sets_one(tmp_path):
+    # Left alone, OpenBLAS starts a thread per CPU and the surrogate's last
+    # bits move, so on a host with two or more CPUs this fails without the
+    # pin.  On a one-CPU host both runs take one thread and it passes either way.
+    run = [
+        "-m", "vorbo.cli", "run", "--problem", "ackley", "--dim", "3", "--budget", "14",
+        "--method", "opt,vor", "--reps", "2", "--no-timing",
+    ]
+    _fresh_python([*run, "--out", "absent.csv"], tmp_path)
+    one = {name: "1" for name in THREAD_VARS}
+    _fresh_python([*run, "--out", "one.csv"], tmp_path, **one)
+    assert (tmp_path / "absent.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    for name in ("absent", "one"):
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_cli_keeps_and_records_a_callers_thread_count(tmp_path):
+    cands = ["-m", "vorbo.cli", "candidates", "--dim", "2", "--n", "6", "--count", "20"]
+    _fresh_python([*cands, "--out", "c.csv"], tmp_path, OPENBLAS_NUM_THREADS="2")
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}
+
+
+def test_only_the_cli_sets_the_thread_variables(tmp_path):
+    probe = f"import os, {{}}; print([n for n in {THREAD_VARS!r} if n in os.environ])"
+    library = probe.format("vorbo.driver, vorbo.gp, vorbo.vorcands")
+    assert _fresh_python(["-c", library], tmp_path) == "[]\n"
+    assert _fresh_python(["-c", probe.format("vorbo.cli")], tmp_path) == f"{list(THREAD_VARS)}\n"

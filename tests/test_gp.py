@@ -357,19 +357,27 @@ def test_fit_keeps_the_warm_start_when_the_optimizer_ends_worse(fun, monkeypatch
     # an abnormal line-search stop can return a point, and a value, other
     # than those of the best point evaluated; `fit` reads neither.  The
     # iterate moves in place, as an optimizer may move the array it passes.
-    def worse(objective, x0, **kwargs):
-        x = x0.copy()
-        start_nll, _ = objective(x)
-        x += 1.0
-        worse_nll, _ = objective(x)
-        assert worse_nll > start_nll
-        return OptimizeResult(x=x, fun=fun, nfev=2, success=False)
-
-    monkeypatch.setattr(gp, "minimize", worse)
+    # In the second case the design's second coordinate is constant, so a
+    # step in theta_2 alone gives the same NLL bit for bit: of two equal
+    # points, `fit` keeps the first.
     X, y = _fit_data(14)
+    tied = X.copy()
+    tied[:, 1] = 0.5
     init = np.full(2, 0.5)
-    model = gp.fit(X, y, init)
-    np.testing.assert_array_equal(model.lengthscales, np.exp(np.log(init)))
+    for design, step in ((X, np.array([1.0, 1.0])), (tied, np.array([0.0, 1.0]))):
+        nlls = []
+
+        def worse(objective, x0, **kwargs):
+            x = x0.copy()
+            nlls.append(objective(x)[0])
+            x += step
+            nlls.append(objective(x)[0])
+            return OptimizeResult(x=x, fun=fun, nfev=2, success=False)
+
+        monkeypatch.setattr(gp, "minimize", worse)
+        model = gp.fit(design, y, init)
+        assert nlls[1] > nlls[0] if design is X else nlls[1] == nlls[0]
+        np.testing.assert_array_equal(model.lengthscales, np.exp(np.log(init)))
 
 
 def test_fit_recovers_known_lengthscale():
