@@ -12,7 +12,7 @@ deviation, so at a training input the sd collapses to roughly
 sqrt(nugget * tau_sq).  `predict_grad` gives the moments and their gradients
 at one point from a single correlation row.  The batch pass in `predict`
 reuses its correlation block, with no other C x N temporary: the solve
-writes w over it and w is squared in place, with unchanged bits.
+writes w over it and w is squared in place.
 
 Every factorization, inverse and solve calls LAPACK (`scipy.linalg.lapack`)
 directly: at the sizes a BO run reaches (N in the tens) SciPy's wrappers

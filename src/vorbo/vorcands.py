@@ -52,7 +52,7 @@ settles the flag (exactly, but for a proj seed crossing in that bracket).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -104,16 +104,9 @@ class CandidateSet:
         return self.points.shape[0]
 
     def take(self, rows: np.ndarray) -> CandidateSet:
-        """The walks at `rows`, in that order (repeats allowed)."""
-        return replace(
-            self,
-            points=self.points[rows],
-            boundary_hit=self.boundary_hit[rows],
-            uncertified=self.uncertified[rows],
-            origin=self.origin[rows],
-            t_lower=self.t_lower[rows],
-            directions=self.directions[rows],
-        )
+        """The walks at `rows`, in that order (repeats allowed), from every array field."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{k: v[rows] for k, v in arrays.items() if isinstance(v, np.ndarray)})
 
 
 def _as_design(design: np.ndarray) -> np.ndarray:
@@ -317,8 +310,7 @@ def _halfway_rule(cands: CandidateSet, design: np.ndarray) -> CandidateSet:
     """
     pinned = (cands.points == 0.0).any(axis=1) | (cands.points == 1.0).any(axis=1)
     hit = cands.boundary_hit | pinned
-    if hit.any():
-        cands.points[hit] = 0.5 * (design[cands.origin[hit]] + cands.points[hit])
+    cands.points[hit] = 0.5 * (design[cands.origin[hit]] + cands.points[hit])
     return cands
 
 

@@ -10,37 +10,22 @@ the per-criterion lines.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from oracles import brute_distances, brute_owner, dense_gp, run_python, sobol_reference
 from vorbo import acquisition, gp, sampling
-from vorbo.nn_index import Metric, distance
+from vorbo.nn_index import Metric
 from vorbo.vorcands import scheme_final, vorwalk
 
 
-def _cli(args: list[str], timeout: float) -> None:
-    subprocess.run(
-        [sys.executable, "-m", "vorbo.cli", *args],
-        check=True,
-        timeout=timeout,
-        capture_output=True,
-    )
-
-
-def _owners(design: np.ndarray, queries: np.ndarray, metric: Metric) -> np.ndarray:
-    """Brute-force nearest design index per query row (first argmin)."""
-    d = distance(metric, design[None, :, :], queries[:, None, :])
-    return d.argmin(axis=1)
-
-
 # -----------------------------------------------------------------------------
-# 1. Equidistance (geometry core): walks land on cell boundaries, exactly
-#    bracketed, equidistant to their two nearest design points within 1e-6.
+# 1. Equidistance (geometry core): walks land on cell boundaries strictly
+#    inside the cube, exactly bracketed, equidistant to their two nearest
+#    design points within 1e-6.
 # -----------------------------------------------------------------------------
 
 
@@ -58,14 +43,15 @@ def test_criterion_1_equidistance_geometry_core():
         cs = vorwalk(design, origins, diff * scale[:, None], metric)
 
         assert not cs.boundary_hit.any()  # every candidate is non-boundary
+        assert cs.points.min() > 0.0 and cs.points.max() < 1.0  # nor clamped to a face
         np.testing.assert_array_equal(cs.bracket_width, 0.5**30)
         anchors = design[cs.origin]
         lo = anchors + cs.t_lower[:, None] * cs.directions
         hi = anchors + (cs.t_lower + cs.bracket_width)[:, None] * cs.directions
-        assert (_owners(design, lo, metric) == cs.origin).all()
-        assert (_owners(design, hi, metric) != cs.origin).all()
+        assert (brute_owner(design, lo, metric) == cs.origin).all()
+        assert (brute_owner(design, hi, metric) != cs.origin).all()
 
-        d_all = distance(metric, design[None, :, :], cs.points[:, None, :])
+        d_all = brute_distances(design, cs.points, metric)
         d_origin = d_all[np.arange(200), cs.origin]
         d_all[np.arange(200), cs.origin] = np.inf
         gaps = np.abs(d_origin - d_all.min(axis=1))
@@ -134,7 +120,7 @@ def test_claim_b_pooled_check_catches_a_reversal():
 def test_criterion_2_boundary_study_reproduction(tmp_path):
     out = tmp_path / "study.csv"
     start = time.perf_counter()
-    _cli(["boundary-study", "--out", str(out)], timeout=660)
+    run_python(["-m", "vorbo.cli", "boundary-study", "--out", str(out)], timeout=660)
     elapsed = time.perf_counter() - start
 
     rows: dict[tuple[str, str, int, int, int], float] = {}
@@ -187,24 +173,15 @@ def test_criterion_3_gp_oracle_equivalence():
     y = np.sin(design.sum(axis=1) * 3.0) + 0.1 * rng.standard_normal(20)
     ls = np.array([0.3, 0.12, 0.6])
     model = gp.build(design, y, ls)
-
-    def corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.exp(-(((a[:, None, :] - b[None, :, :]) ** 2) / ls).sum(axis=-1))
-
-    yc = y - y.mean()
-    a_mat = corr(design, design) + model.nugget * np.eye(20)
-    alpha = np.linalg.solve(a_mat, yc)
-    tau_sq = max(float(yc @ alpha) / 20.0, 1e-12)
     queries = rng.random((40, 3))
-    rho = corr(queries, design)
-    mean_oracle = y.mean() + rho @ alpha
-    var_oracle = tau_sq * np.maximum(1.0 - (np.linalg.solve(a_mat, rho.T).T * rho).sum(axis=1), 0.0)
+    tau_sq, mean_oracle, sd_oracle = dense_gp(design, y, ls, model.nugget, queries)
 
     mean, sd = gp.predict(model, queries)
     assert abs(model.tau_sq - tau_sq) <= 1e-10
     assert np.max(np.abs(mean - mean_oracle)) <= 1e-10
-    assert np.max(np.abs(sd - np.sqrt(var_oracle))) <= 1e-10
+    assert np.max(np.abs(sd - sd_oracle)) <= 1e-10
 
+    yc = y - y.mean()
     h = 1e-5
     for _ in range(20):
         theta = rng.uniform(np.log(0.05), np.log(2.0), size=3)
@@ -273,9 +250,9 @@ def test_criterion_5_candidate_scaling():
 def test_criterion_6_desk_scale_bo_comparison(tmp_path):
     out = tmp_path / "bo.csv"
     start = time.perf_counter()
-    _cli(
+    run_python(
         [
-            "run",
+            "-m", "vorbo.cli", "run",
             "--problem", "ackley",
             "--dim", "5",
             "--budget", "100",
@@ -335,7 +312,7 @@ def test_criterion_7_determinism_suite(tmp_path):
         outs = []
         for attempt in (1, 2):
             path = tmp_path / f"{name}_{attempt}.csv"
-            _cli([*args, "--out", str(path)], timeout=300)
+            run_python(["-m", "vorbo.cli", *args, "--out", str(path)], timeout=300)
             outs.append(path.read_bytes())
         assert outs[0] == outs[1], f"{name}: reruns differ"
 
@@ -345,40 +322,6 @@ def test_criterion_7_determinism_suite(tmp_path):
 #    the first 8 Sobol points in P <= 4 against the direction-number
 #    construction computed from first principles.
 # -----------------------------------------------------------------------------
-
-#: (s, a, m) per extra Sobol column: primitive-polynomial degree, encoded
-#: middle coefficients, and initial direction numbers (Joe & Kuo table).
-_SOBOL_COLUMNS = {1: (1, 0, [1]), 2: (2, 1, [1, 3]), 3: (3, 1, [1, 3, 1])}
-
-
-def _sobol_first8_reference(dim: int) -> np.ndarray:
-    bits = 32
-    v = np.zeros((dim, bits + 1), dtype=np.uint64)
-    for j in range(dim):
-        if j == 0:  # van der Corput column: m_k = 1 for every k
-            for i in range(1, bits + 1):
-                v[0, i] = np.uint64(1) << np.uint64(bits - i)
-        else:
-            s, a, m = _SOBOL_COLUMNS[j]
-            for i in range(1, bits + 1):
-                if i <= s:
-                    v[j, i] = np.uint64(m[i - 1]) << np.uint64(bits - i)
-                else:
-                    v[j, i] = v[j, i - s] ^ (v[j, i - s] >> np.uint64(s))
-                    for k in range(1, s):
-                        if (a >> (s - 1 - k)) & 1:
-                            v[j, i] ^= v[j, i - k]
-    pts = np.zeros((8, dim))
-    state = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, 8):
-        c = 1
-        val = i - 1
-        while val & 1:
-            val >>= 1
-            c += 1
-        state ^= v[:, c]
-        pts[i] = state / 2.0**bits
-    return pts
 
 
 def test_criterion_8_lhs_sobol_correctness():
@@ -395,4 +338,4 @@ def test_criterion_8_lhs_sobol_correctness():
 
     for dim in (1, 2, 3, 4):
         got = sampling.sobol(8, dim, start_index=0)
-        np.testing.assert_array_equal(got, _sobol_first8_reference(dim))
+        np.testing.assert_array_equal(got, sobol_reference(8, dim))

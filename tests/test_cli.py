@@ -1,13 +1,11 @@
 import dataclasses
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import run_python
 from vorbo import driver, gp
 from vorbo.bench import PROBLEMS, make_problem
 from vorbo.cli import THREAD_VARS, main
@@ -632,23 +630,6 @@ def test_unknown_subcommand():
 # ------------------------------- thread pin ---------------------------------
 
 
-def _fresh_python(args: list[str], cwd, **threads: str) -> str:
-    """stdout of `python args` run in `cwd` by a new process whose environment
-    holds no thread variable but `threads`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd,
-        env={**env, **threads},
-        check=True,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    ).stdout
-
-
 def test_cli_runs_on_one_thread_unless_the_caller_sets_one(tmp_path):
     # Left alone, OpenBLAS starts a thread per CPU and the surrogate's last
     # bits move, so on a host with two or more CPUs this fails without the
@@ -657,9 +638,8 @@ def test_cli_runs_on_one_thread_unless_the_caller_sets_one(tmp_path):
         "-m", "vorbo.cli", "run", "--problem", "ackley", "--dim", "3", "--budget", "14",
         "--method", "opt,vor", "--reps", "2", "--no-timing",
     ]
-    _fresh_python([*run, "--out", "absent.csv"], tmp_path)
-    one = {name: "1" for name in THREAD_VARS}
-    _fresh_python([*run, "--out", "one.csv"], tmp_path, **one)
+    run_python([*run, "--out", "absent.csv"], cwd=tmp_path, threads={})
+    run_python([*run, "--out", "one.csv"], cwd=tmp_path, threads=dict.fromkeys(THREAD_VARS, "1"))
     assert (tmp_path / "absent.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     for name in ("absent", "one"):
         meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
@@ -668,7 +648,7 @@ def test_cli_runs_on_one_thread_unless_the_caller_sets_one(tmp_path):
 
 def test_cli_keeps_and_records_a_callers_thread_count(tmp_path):
     cands = ["-m", "vorbo.cli", "candidates", "--dim", "2", "--n", "6", "--count", "20"]
-    _fresh_python([*cands, "--out", "c.csv"], tmp_path, OPENBLAS_NUM_THREADS="2")
+    run_python([*cands, "--out", "c.csv"], cwd=tmp_path, threads={"OPENBLAS_NUM_THREADS": "2"})
     meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
     assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}
 
@@ -676,5 +656,6 @@ def test_cli_keeps_and_records_a_callers_thread_count(tmp_path):
 def test_only_the_cli_sets_the_thread_variables(tmp_path):
     probe = f"import os, {{}}; print([n for n in {THREAD_VARS!r} if n in os.environ])"
     library = probe.format("vorbo.driver, vorbo.gp, vorbo.vorcands")
-    assert _fresh_python(["-c", library], tmp_path) == "[]\n"
-    assert _fresh_python(["-c", probe.format("vorbo.cli")], tmp_path) == f"{list(THREAD_VARS)}\n"
+    assert run_python(["-c", library], cwd=tmp_path, threads={}) == "[]\n"
+    cli = run_python(["-c", probe.format("vorbo.cli")], cwd=tmp_path, threads={})
+    assert cli == f"{list(THREAD_VARS)}\n"

@@ -7,31 +7,9 @@ from scipy.linalg.lapack import dpotri
 from scipy.optimize import OptimizeResult
 from scipy.spatial.distance import cdist
 
+from oracles import dense_gp
 from vorbo import gp
 from vorbo.gp import SurrogateFitError
-
-
-def _dense_moments(model, y, queries):
-    """Oracle: explicit inverse of the full covariance, no Cholesky reuse.
-
-    Builds K = tau^2 * C and the effective jitter tau^2 * g directly from the
-    stored hyperparameters, centres the raw outputs `y` with the model's
-    mean, and inverts densely; valid only at small N.
-    """
-    X = model.design
-    ls = model.lengthscales
-    tau_sq = model.tau_sq
-    g = model.nugget
-
-    def k(a, b):
-        return tau_sq * np.exp(-(((a[:, None, :] - b[None, :, :]) ** 2) / ls).sum(-1))
-
-    big_k = k(X, X) + tau_sq * g * np.eye(X.shape[0])
-    k_star = k(np.atleast_2d(queries), X)
-    inv = np.linalg.inv(big_k)
-    mean = model.y_mean + k_star @ inv @ (y - model.y_mean)
-    var = tau_sq - np.einsum("ij,jk,ik->i", k_star, inv, k_star)
-    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 # Oracles: the surrogate's linear algebra written with SciPy's checked
@@ -169,7 +147,7 @@ def test_moments_match_dense_oracle():
         model = gp.build(X, y, np.array([0.05, 0.08, 0.12]))
         queries = rng.random((15, 3))
         mean, sd = gp.predict(model, queries)
-        o_mean, o_sd = _dense_moments(model, y, queries)
+        _, o_mean, o_sd = dense_gp(X, y, model.lengthscales, model.nugget, queries)
         np.testing.assert_allclose(mean, o_mean, atol=1e-10, rtol=0)
         np.testing.assert_allclose(sd, o_sd, atol=1e-10, rtol=0)
 

@@ -1,21 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import brute_distances, brute_owner
 from vorbo import nn_index
 from vorbo.nn_index import Metric
-
-
-def _reference_nearest(points: np.ndarray, query: np.ndarray, metric: Metric) -> int:
-    """Independent scan: exact distances per point, first minimum wins."""
-    diff = np.abs(points - query[None, :])
-    if metric is Metric.L1:
-        d = diff.sum(axis=1)
-    elif metric is Metric.L2:
-        d = np.sqrt((diff * diff).sum(axis=1))
-    else:
-        d = diff.max(axis=1)
-    winners = np.flatnonzero(d == d.min())
-    return int(winners[0])
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -25,8 +13,7 @@ def test_random_queries_match_reference(metric):
         pts = rng.random((n, p))
         queries = rng.random((100, p)) * 1.4 - 0.2  # include out-of-cube queries
         got = nn_index.nearest_batch(pts, queries, metric)
-        want = [_reference_nearest(pts, q, metric) for q in queries]
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, brute_owner(pts, queries, metric))
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -40,8 +27,7 @@ def test_exact_ties_resolve_to_smallest_index(metric):
     keep = i != j
     mids = 0.5 * (pts[i[keep]] + pts[j[keep]])
     got = nn_index.nearest_batch(pts, mids, metric)
-    want = [_reference_nearest(pts, q, metric) for q in mids]
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, brute_owner(pts, mids, metric))
 
 
 def test_duplicate_points_tie():
@@ -85,8 +71,7 @@ def test_brute_fallback_chunks_agree(monkeypatch):
     j = (i + 1 + rng.integers(0, 24, size=60)) % 25
     mids = 0.5 * (pts[i] + pts[j])
     got = nn_index.nearest_batch(pts, mids, Metric.LINF)
-    want = [_reference_nearest(pts, q, Metric.LINF) for q in mids]
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, brute_owner(pts, mids, Metric.LINF))
 
 
 def _tie_heavy_queries(rng):
@@ -108,7 +93,7 @@ def test_runners_up_follow_the_owner_in_order(metric):
     # distinct, never the owner, and the k + 1 smallest distances in order,
     # ties to the smaller index: a stable sort of the brute-force distances
     assert all(len(set(row)) == 5 for row in got.tolist())
-    d = nn_index.distance(metric, pts[None, :, :], queries[:, None, :])
+    d = brute_distances(pts, queries, metric)
     np.testing.assert_array_equal(got, np.argsort(d, axis=1, kind="stable")[:, :5])
     np.testing.assert_array_equal(np.take_along_axis(d, got, axis=1), np.sort(d, axis=1)[:, :5])
 

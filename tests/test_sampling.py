@@ -1,55 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from oracles import run_python, sobol_reference
 from vorbo.sampling import lhs, sobol
-
-# --- reference Sobol construction (direction numbers, Gray-code order) ----
-#
-# Primitive-polynomial table for dimensions 2..4: degree s, coefficient bits
-# a, and initial odd direction integers m.  Dimension 1 is the van der
-# Corput sequence (all m_k = 1).  Points are generated in Gray-code order:
-# x_0 = 0, x_i = x_{i-1} XOR V[ctz(i)].
-
-_POLY = {2: (1, 0, [1]), 3: (2, 1, [1, 3]), 4: (3, 1, [1, 3, 1])}
-_BITS = 30
-
-
-def _direction_numbers(dim: int) -> np.ndarray:
-    v = np.zeros((dim, _BITS + 1), dtype=np.uint64)
-    for k in range(1, _BITS + 1):
-        v[0, k] = 1 << (_BITS - k)
-    for d in range(2, dim + 1):
-        s, a, m = _POLY[d]
-        m = list(m)
-        for k in range(s, _BITS):
-            new = m[k - s] ^ (m[k - s] << s)
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    new ^= m[k - i] << i
-            m.append(new)
-        for k in range(1, _BITS + 1):
-            v[d - 1, k] = np.uint64(m[k - 1]) << np.uint64(_BITS - k)
-    return v
-
-
-def _reference_sobol(n: int, dim: int) -> np.ndarray:
-    v = _direction_numbers(dim)
-    pts = np.zeros((n, dim))
-    state = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, n):
-        low = 1
-        j = i - 1
-        while j & 1:
-            j >>= 1
-            low += 1
-        state ^= v[:, low]
-        pts[i] = state / float(1 << _BITS)
-    return pts
 
 
 # --------------------------------- LHS ------------------------------------
@@ -88,7 +41,7 @@ def test_lhs_range_and_errors():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sobol_matches_reference_construction(dim):
-    want = _reference_sobol(9, dim)[1:]  # indices 1..8
+    want = sobol_reference(9, dim)[1:]  # indices 1..8
     got = sobol(8, dim, start_index=1)
     np.testing.assert_array_equal(got, want)
 
@@ -138,14 +91,4 @@ print("scipy.stats" in sys.modules)
 
 
 def test_only_a_sobol_draw_loads_scipy_stats():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    ).stdout.splitlines()
-    assert out == ["[]", "True"]
+    assert run_python(["-c", _IMPORT_PROBE]).splitlines() == ["[]", "True"]

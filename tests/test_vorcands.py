@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Voronoi
 
+from oracles import brute_distances, brute_owner
 from vorbo import nn_index, vorcands
 from vorbo.nn_index import Metric, distance
 from vorbo.sampling import lhs
@@ -13,23 +14,6 @@ from vorbo.vorcands import (
     vorwalk,
     walk_sample,
 )
-
-
-def _brute_owner(design: np.ndarray, q: np.ndarray, metric: Metric):
-    """First argmin over exact distances — independent of the index module.
-
-    Sums run left to right, the query's arithmetic: NumPy's pairwise `.sum`
-    can break a near-tie the other way from P = 8 on.  `q` is one point (an
-    index back) or an (M, P) batch (an (M,) array of indices back).
-    """
-    diff = np.abs(design - np.asarray(q)[..., None, :])
-    if metric is Metric.L1:
-        d = np.cumsum(diff, axis=-1)[..., -1]
-    elif metric is Metric.L2:
-        d = np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
-    else:
-        d = diff.max(axis=-1)
-    return d.argmin(axis=-1)
 
 
 #: The unpatched query and crossing, for tests that patch them.
@@ -83,11 +67,11 @@ def test_bracket_property(metric):
     lo_probe = anchors + cs.t_lower[:, None] * cs.directions
     hi_probe = anchors + t_hi[:, None] * cs.directions
     for c in range(len(cs)):
-        assert _brute_owner(design, lo_probe[c], metric) == cs.origin[c]
+        assert brute_owner(design, lo_probe[c], metric) == cs.origin[c]
         if cs.boundary_hit[c]:
             assert t_hi[c] == 1.0  # the bracket never closed
         else:
-            assert _brute_owner(design, hi_probe[c], metric) != cs.origin[c]
+            assert brute_owner(design, hi_probe[c], metric) != cs.origin[c]
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -103,31 +87,10 @@ def test_equidistance_of_interior_candidates(metric):
     # the direction's length under the same metric
     for c in np.flatnonzero(interior):
         tol = 2.0 * cs.bracket_width * distance(metric, np.zeros(10), cs.directions[c])
-        d_all = distance(metric, design, cs.points[c][None, :])
+        d_all = brute_distances(design, cs.points[c], metric)
         d_origin = d_all[cs.origin[c]]
         others = np.delete(d_all, cs.origin[c])
         assert abs(d_origin - others.min()) <= tol
-
-
-@pytest.mark.parametrize("metric", list(Metric))
-def test_walks_aimed_at_design_points_land_equidistant(metric):
-    # a walk aimed at another design point must cross a cell boundary on the
-    # open segment between the two, so no walk hits a wall or gets clamped
-    rng = np.random.default_rng(105)
-    design = rng.random((50, 10))
-    origins = rng.integers(0, 50, size=200).astype(np.intp)
-    partners = (origins + rng.integers(1, 50, size=200)) % 50
-    diff = design[partners] - design[origins]
-    scale = np.sqrt(10.0) * (1 + 1e-9) / np.sqrt((diff * diff).sum(axis=1))
-    cs = vorwalk(design, origins, diff * scale[:, None], metric)
-
-    assert not cs.boundary_hit.any()
-    assert cs.points.min() > 0.0 and cs.points.max() < 1.0
-    for c in range(len(cs)):
-        d_all = distance(metric, design, cs.points[c][None, :])
-        d_origin = d_all[cs.origin[c]]
-        others = np.delete(d_all, cs.origin[c])
-        assert abs(d_origin - others.min()) <= 1e-6
 
 
 def test_star_convexity_of_prefix():
@@ -142,7 +105,7 @@ def test_star_convexity_of_prefix():
                 continue
             for t in rng.random(100) * cs.t_lower[c]:
                 probe = design[cs.origin[c]] + t * cs.directions[c]
-                assert _brute_owner(design, probe, metric) == cs.origin[c]
+                assert brute_owner(design, probe, metric) == cs.origin[c]
 
 
 @pytest.fixture
@@ -197,8 +160,8 @@ def test_blocker_behind_a_tie_is_found_by_certification(nn_rows):
     assert not cs.uncertified[0] and not cs.boundary_hit[0]
     lo = design[2] + cs.t_lower[0] * u
     hi = design[2] + (cs.t_lower[0] + cs.bracket_width) * u
-    assert _brute_owner(design, lo, Metric.LINF) == 2
-    assert _brute_owner(design, hi, Metric.LINF) == 1
+    assert brute_owner(design, lo, Metric.LINF) == 2
+    assert brute_owner(design, hi, Metric.LINF) == 1
     np.testing.assert_allclose(cs.points[0], [0.7, 0.4], atol=1e-9)
 
 
@@ -513,7 +476,7 @@ def test_walks_against_a_near_duplicate_pair(metric, dim):
     anchors = design[origins]
 
     def owners(t):
-        return _brute_owner(design, anchors + t[:, None] * u, metric)
+        return brute_owner(design, anchors + t[:, None] * u, metric)
 
     assert (owners(cs.t_lower) == origins)[~cs.uncertified].all()
     closed = ~cs.boundary_hit
@@ -547,7 +510,7 @@ def test_brute_owner_breaks_near_ties_as_the_query_does():
     diff = design[None, :, :] - queries[:, None, :]
     pairwise = np.sqrt((diff * diff).sum(axis=-1)).argmin(axis=1)
     assert (pairwise != want).any()
-    np.testing.assert_array_equal(_brute_owner(design, queries, Metric.L2), want)
+    np.testing.assert_array_equal(brute_owner(design, queries, Metric.L2), want)
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -646,8 +609,8 @@ def test_adversarial_seeds_keep_every_bracket_certified(metric, grown):
     assert ok.sum() > 250
     lo = anchors + cs.t_lower[:, None] * directions
     hi = anchors + (cs.t_lower + cs.bracket_width)[:, None] * directions
-    assert (_brute_owner(design, lo, metric) == origins)[ok].all()
-    assert (_brute_owner(design, hi, metric) != origins)[ok & ~cs.boundary_hit].all()
+    assert (brute_owner(design, lo, metric) == origins)[ok].all()
+    assert (brute_owner(design, hi, metric) != origins)[ok & ~cs.boundary_hit].all()
     assert (ok & ~cs.boundary_hit).sum() > 50
     if not grown:  # no near-ties: every walk ends where the unseeded one does
         assert _fields(cs) == _fields(vorwalk(design, origins, directions, metric))
