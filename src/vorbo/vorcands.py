@@ -10,14 +10,14 @@ point in every direction.
 Rather than constructing the tessellation (hopeless beyond a few
 dimensions), candidates are found by walks.  A walk starts at a design
 point a = x_n, picks a direction u, and looks for the first t in [0, 1] at
-which a + t*u leaves the cell of x_n.  Cells are star-shaped around their
-design point under the metrics used here, so "a + t*u is still in the cell"
+which a + t*u leaves the cell of x_n under the L-inf metric.  Cells are
+star-shaped around their design point, so "a + t*u is still in the cell"
 is monotone in t.  The walk finds the crossing by blocker-shooting: a walk
 at t holds the bracket [t - 2^-(K+1), t + 2^-(K+1)] of width 2^-K, starting
 at the top bracket [1 - 2^-K, 1], and each round probes its lower end.
 If the probe's nearest design point x_j (ties to the smaller index) is
 x_n, that end is certified; otherwise t jumps to the exact crossing of the
-bisector of x_n and x_j with the ray (closed form under every metric).
+bisector of x_n and x_j with the ray (in closed form).
 Each round costs one owner query (`nn_index.nearest_batch`), batched over
 the live walks, and a walk typically needs two or three.  One seed rule
 serves every batch with an incumbent or precandidates: a walk starts at the
@@ -27,27 +27,28 @@ evaluated where they land, outside the unit cube included --
 nearest-neighbour identity is well defined on all of R^P -- so the walk
 tracks the true cell face even when that face lies beyond a cube wall.
 
-The upper end needs no scan: one pair of distances in the query's own
-arithmetic (`nn_index.distance`) shows that the last blocker beats x_n
-there, nearer or tied with the smaller index.  A walk that fails (its
-crossing did not fall, rounding left its upper end in the cell, or the
-bracket would reach past t = 0 or t = 1) reruns the K-round bisection on the
-owner predicate, the single fallback path, and is flagged `uncertified`.
+The upper end needs no scan: one pair of distances (`nn_index.distance`, a
+max over coordinates and so the query's own value) shows that the last
+blocker beats x_n there, nearer or tied with the smaller index.  A walk that
+fails (its crossing did not fall, rounding left its upper end in the cell,
+or the bracket would reach past t = 0 or t = 1) reruns the K-round
+bisection on the owner predicate, the single fallback path, and is flagged
+`uncertified`.
 
 Returned points are the bracket midpoints clamped to the cube.  A walk
 whose full step never leaves its origin's cell is flagged `boundary_hit`.
-The direction scalings of `walk_sample` make most such steps leave the
-cube, so the clamp pins the candidate to a face; but a unif step under L1
-has length sqrt(P), short of the cube's L1 diameter P, and can end inside.
+Every step `walk_sample` draws is longer than 1 under L-inf, so such a step
+leaves the cube and the clamp pins the candidate to a face.
 `walk_sample` draws a batch of origins and directions for one strategy
 (unif, rect or proj) in one place, walks it (a rect walk that the batch
 repeats, only once), and pulls every flagged or clamped candidate halfway
 back toward its origin, which keeps candidates off the (rarely optimal)
 faces of the cube, keeping the direction searched.  `scheme_final` (the
 optimizer's scheme) walks such batches.  `boundary_proportion` (the wall-hit
-study) draws the same batches but walks none: a walk is flagged when its
-origin owns the lower end of its top bracket, so one owner query per walk
-settles the flag (exactly, but for a proj seed crossing in that bracket).
+study) draws the same batches under L1, L2 or L-inf but walks none: a walk
+is flagged when its origin owns the lower end of its top bracket, so one
+owner query per walk settles the flag (under L-inf, `walk_sample`'s own,
+but for a proj seed crossing in that bracket).
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class CandidateSet:
     """Walk results.
 
     `t_lower` and `directions` describe the final bracket
-    [t_lower, t_lower + bracket_width] of the underlying walk; `points` holds
-    the clamped bracket midpoints, except that `walk_sample` replaces
-    flagged or clamped candidates by the point halfway back to their origin.
+    [t_lower, t_lower + 2^-K] of the underlying walk, K = `BISECTION_ITERS`;
+    `points` holds the clamped bracket midpoints, except that `walk_sample`
+    replaces flagged or clamped candidates by the point halfway back to
+    their origin.
     `boundary_hit` marks walks whose full step never left the origin's cell
     (the bracket never closed), and `uncertified` marks walks whose shot
     bracket failed its owner checks and were bisected instead; both are kept
@@ -96,7 +98,6 @@ class CandidateSet:
     boundary_hit: np.ndarray
     uncertified: np.ndarray
     origin: np.ndarray
-    bracket_width: float
     t_lower: np.ndarray
     directions: np.ndarray
 
@@ -104,9 +105,8 @@ class CandidateSet:
         return self.points.shape[0]
 
     def take(self, rows: np.ndarray) -> CandidateSet:
-        """The walks at `rows`, in that order (repeats allowed), from every array field."""
-        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **{k: v[rows] for k, v in arrays.items() if isinstance(v, np.ndarray)})
+        """The walks at `rows`, in that order (repeats allowed), from every field."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def _as_design(design: np.ndarray) -> np.ndarray:
@@ -120,7 +120,6 @@ def _as_design(design: np.ndarray) -> np.ndarray:
 
 
 def _crossing(
-    metric: Metric,
     anchors: np.ndarray,
     directions: np.ndarray,
     blockers: np.ndarray,
@@ -129,61 +128,32 @@ def _crossing(
     """Where each ray a + t*u leaves the side of the bisector of a and x nearer a.
 
     By the triangle inequality g(t) = d(a + t*u, x) - d(a + t*u, a) is
-    non-increasing in t under every norm.  Ties belong to the smaller index
-    (as in `nn_index.nearest_batch`), so the walk leaves at the largest t
-    with g(t) > 0 where `strict` (x has the smaller index) and g(t) >= 0
-    elsewhere; the two differ where g stays 0 over an interval, as under
-    L-inf when x and a share the coordinate u is longest in, and under L1
-    when the coordinates u points toward x in hold half of |x - a|_1.  The
-    crossing is the exact closed form under every metric, with no distance
-    evaluated; it may exceed 1, and infinite means the ray never leaves.
+    non-increasing in t under L-inf.  Ties belong to the smaller index (as in
+    `nn_index.nearest_batch`), so the walk leaves at the largest t with
+    g(t) > 0 where `strict` (x has the smaller index) and g(t) >= 0
+    elsewhere; the two differ where g stays 0 over an interval, as when x
+    and a share the coordinate u is longest in.  The crossing is the exact
+    closed form, with no distance evaluated; it may exceed 1, and infinite
+    means the ray never leaves.
     """
     w = blockers - anchors
-    if metric is Metric.L2:
-        # g >= 0  <=>  |w|^2 - 2 t u.w >= 0, which is 0 at a single t
-        uw = (directions * w).sum(axis=1)
-        cross = np.full(len(w), np.inf)
-        return np.divide((w * w).sum(axis=1), 2.0 * uw, out=cross, where=uw > 0.0)
-    if metric is Metric.LINF:
-        # g >= 0  <=>  |t*u_i - w_i| >= t*m for some i, m = max|u|: a union
-        # of the 2P intervals t <= -w_i / (m - u_i) and t <= w_i / (m + u_i);
-        # a 0 / 0 bound (w_i = 0, |u_i| = m) gives g_i = 0 for every t
-        m = np.abs(directions).max(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds = np.concatenate([-w / (m - directions), w / (m + directions)], axis=1)
-        bounds = np.where(np.isnan(bounds), np.where(strict, -np.inf, np.inf)[:, None], bounds)
-        return bounds.max(axis=1)
-
-    # L1: g = |w|_1 - 2 F(t), F(t) = sum_i min(t |u_i|, c_i) with c_i = |w_i|
-    # where u_i w_i > 0 (0 elsewhere), is concave and piecewise linear.  Over
-    # the knots c_i / |u_i| in order, the segment ending at knot k is F =
-    # sum_{j<k} c_j + t sum_{j>=k} |u_j|; solve the first whose end reaches
-    # |w|_1 / 2 where `strict` and passes it elsewhere, so only a strict walk
-    # leaves a flat stretch at |w|_1 / 2 (where it starts; at t = 0 if w = 0)
-    toward = directions * w > 0.0
-    c, s = np.abs(w) * toward, np.abs(directions) * toward
-    knots = np.divide(c, s, out=np.zeros_like(c), where=toward)
-    order = np.argsort(knots, axis=1)
-    knots, c, s = (np.take_along_axis(v, order, axis=1) for v in (knots, c, s))
-    c_below, s_from = np.cumsum(c, axis=1) - c, np.cumsum(s[:, ::-1], axis=1)[:, ::-1]
-    half = 0.5 * np.abs(w).sum(axis=1)
-    ends = c_below + knots * s_from
-    past = np.where(strict[:, None], ends >= half[:, None], ends > half[:, None])
-    k, rows = past.argmax(axis=1), np.arange(len(w))
-    found, slope = past[rows, k], s_from[rows, k]
-    cross = np.where(found, 0.0, np.inf)
-    np.divide(half - c_below[rows, k], slope, out=cross, where=found & (slope > 0.0))
-    return cross
+    # g >= 0  <=>  |t*u_i - w_i| >= t*m for some i, m = max|u|: a union of
+    # the 2P intervals t <= -w_i / (m - u_i) and t <= w_i / (m + u_i); a
+    # 0 / 0 bound (w_i = 0, |u_i| = m) gives g_i = 0 for every t
+    m = np.abs(directions).max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.concatenate([-w / (m - directions), w / (m + directions)], axis=1)
+    bounds = np.where(np.isnan(bounds), np.where(strict, -np.inf, np.inf)[:, None], bounds)
+    return bounds.max(axis=1)
 
 
 def vorwalk(
     design: np.ndarray,
     origins: np.ndarray,
     directions: np.ndarray,
-    metric: Metric,
     seeds: np.ndarray | None = None,
 ) -> CandidateSet:
-    """Run a batch of walks against `design` under `metric`.
+    """Run a batch of walks against `design` under the L-inf metric.
 
     Each walk c starts at ``design[origins[c]]`` and shoots along
     ``directions[c]``.  With K = `BISECTION_ITERS`, a walk at t holds the
@@ -202,17 +172,16 @@ def vorwalk(
     points and any seed's bounds it from above: the rounds go on as before.
 
     An upper end is certified when its blocker beats the origin there
-    (nearer, or tied with the smaller index) by `distance`, the query's own
-    arithmetic, so the pair decides it as a query would.  Walks that fail
-    rerun a K-round bisection on the owner predicate and are flagged
-    `uncertified`.  The returned points are the bracket midpoints, clamped
-    to the cube.
+    (nearer, or tied with the smaller index) by `distance`, a max over
+    coordinates and so the query's own value, so the pair decides it as a
+    query would.  Walks that fail rerun a K-round bisection on the owner
+    predicate and are flagged `uncertified`.  The returned points are the
+    bracket midpoints, clamped to the cube.
 
     A candidate is flagged `boundary_hit` when the origin's cell never
     ended within the full step; its bracket is [1 - 2^-K, 1], as bisection
-    would give.  A step longer than the cube's extent then ends outside it,
-    and the clamp pins the candidate to a face; `walk_sample`'s unif steps
-    under L1 are shorter, so their flagged candidates can end inside.
+    would give.  A step longer than 1 under L-inf then ends outside the
+    cube, and the clamp pins the candidate to a face.
     """
     design = _as_design(design)
     n, dim = design.shape
@@ -245,7 +214,7 @@ def vorwalk(
     # ties go to the smaller), where it is below t; a seed on its origin never crosses
     if seeds is not None:
         for s in np.sort(seeds, axis=1).T:
-            cross = _crossing(metric, anchors, directions, design[s], s < origins)
+            cross = _crossing(anchors, directions, design[s], s < origins)
             lower = cross < t
             t[lower], blocker[lower] = cross[lower], s[lower]
 
@@ -254,13 +223,11 @@ def vorwalk(
     live = np.arange(len(origins))
     while live.size:
         probes = anchors[live] + (t[live] - 0.5 * width)[:, None] * directions[live]
-        owner = nn_index.nearest_batch(design, probes, metric)
+        owner = nn_index.nearest_batch(design, probes, Metric.LINF)
         held = owner == origins[live]
         certified[live[held]] = True
         live, owner = live[~held], owner[~held]
-        cross = _crossing(
-            metric, anchors[live], directions[live], design[owner], owner < origins[live]
-        )
+        cross = _crossing(anchors[live], directions[live], design[owner], owner < origins[live])
         moved = cross < t[live]
         live = live[moved]
         t[live], blocker[live] = cross[moved], owner[moved]
@@ -270,8 +237,8 @@ def vorwalk(
     certified &= t_lo >= 0.0
     up = np.flatnonzero(certified & (t_hi < 1.0))
     probes = anchors[up] + t_hi[up, None] * directions[up]
-    d_blocker = distance(metric, probes, design[blocker[up]])
-    d_origin = distance(metric, probes, anchors[up])
+    d_blocker = distance(Metric.LINF, probes, design[blocker[up]])
+    d_origin = distance(Metric.LINF, probes, anchors[up])
     certified[up] = (d_blocker < d_origin) | ((d_blocker == d_origin) & (blocker[up] < origins[up]))
 
     # the fallback: bisect t in [0, 1] on the owner predicate
@@ -281,7 +248,7 @@ def vorwalk(
         for _ in range(BISECTION_ITERS):
             mid = 0.5 * (t_lo[redo] + t_hi[redo])
             probes = anchors[redo] + mid[:, None] * directions[redo]
-            ok = nn_index.nearest_batch(design, probes, metric) == origins[redo]
+            ok = nn_index.nearest_batch(design, probes, Metric.LINF) == origins[redo]
             t_lo[redo[ok]], t_hi[redo[~ok]] = mid[ok], mid[~ok]
 
     mid = 0.5 * (t_lo + t_hi)
@@ -290,7 +257,6 @@ def vorwalk(
         boundary_hit=t_hi == 1.0,
         uncertified=~certified,
         origin=origins.copy(),
-        bracket_width=width,
         t_lower=t_lo,
         directions=directions.copy(),
     )
@@ -388,18 +354,17 @@ def walk_sample(
     design: np.ndarray,
     count: int,
     strategy: str,
-    metric: Metric,
     incumbent: int | None,
     rng: np.random.Generator,
 ) -> CandidateSet:
-    """`count` walk candidates of one strategy, pulled off the cube faces.
+    """`count` L-inf walk candidates of one strategy, pulled off the cube faces.
 
     "unif" walks go along isotropic directions scaled to norm sqrt(P) under
-    the walk metric, "rect" walks along signed coordinate axes of length
-    sqrt(P), the same under every metric.  Given an `incumbent` design
-    index, the first min(2P, count) of these walks start there and the
-    rest from the other design points; without one, every origin is drawn
-    uniformly (with replacement) from all design points.  "proj" walks
+    L-inf, "rect" walks along signed coordinate axes of length sqrt(P).
+    Given an `incumbent` design index, the first min(2P, count) of these
+    walks start there and the rest from the other design points; without
+    one, every origin is drawn uniformly (with replacement) from all design
+    points.  "proj" walks
     ignore the incumbent: each point z of a fresh Latin hypercube starts a
     walk at its nearest design point, aimed at z with Euclidean length
     sqrt(P), so the candidates inherit the hypercube's spread without an
@@ -409,8 +374,8 @@ def walk_sample(
     halfway back toward their origins (`_halfway_rule`).
     """
     design = _as_design(design)
-    origins, directions, rows, seeds = _walk_batch(design, count, strategy, metric, incumbent, rng)
-    return _halfway_rule(vorwalk(design, origins, directions, metric, seeds).take(rows), design)
+    origins, u, rows, seeds = _walk_batch(design, count, strategy, Metric.LINF, incumbent, rng)
+    return _halfway_rule(vorwalk(design, origins, u, seeds).take(rows), design)
 
 
 def scheme_final(
@@ -430,8 +395,8 @@ def scheme_final(
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
     if iteration % 2 == 0:
-        return walk_sample(design, count, "rect", Metric.LINF, incumbent, rng)
-    return walk_sample(design, count, "proj", Metric.LINF, None, rng)
+        return walk_sample(design, count, "rect", incumbent, rng)
+    return walk_sample(design, count, "proj", None, rng)
 
 
 def boundary_proportion(
@@ -441,23 +406,24 @@ def boundary_proportion(
     metric: Metric,
     rng: np.random.Generator,
 ) -> float:
-    """Fraction of `count` walks of `walk_sample` flagged as wall hits.
+    """Fraction of `count` walks of one strategy that hit the wall under `metric`.
 
-    Draws the batch `walk_sample` would from the same stream (origins
-    uniform over the design for "unif"/"rect", precandidate owners for
-    "proj") and walks none of it.  With K = `BISECTION_ITERS`, `vorwalk`
-    flags a walk (t_hi = 1) only when its origin owns a + (1 - 2^-K) u, the
-    lower end of the top bracket: a walk that stays in the top bracket was
-    certified there by its first round, and a bisected one ends at t_hi = 1
-    only if its last probe, the same point, held.  Conversely a walk that
-    starts at the top and whose origin owns that point stops there flagged.
-    So one owner query per distinct walk at that point, formed bit for bit
-    as the first round forms it, gives the flags of the unseeded unif and
-    rect walks exactly, ties and rounding included.  A proj walk's seeds
-    start it lower only at a seed crossing below 1 - 2^-(K+1), past which the
-    seed takes the point from the origin unless the crossing lies in
-    [1 - 2^-K, 1 - 2^-(K+1)) or within rounding of it; only there can the
-    query and the walk differ.  The halfway pull-back moves points, not flags.
+    Draws the batch `walk_sample` would, but under `metric`, from the same
+    stream (origins uniform over the design for "unif"/"rect", precandidate
+    owners for "proj") and walks none of it.  With K = `BISECTION_ITERS`, a
+    walk hits the wall when its origin owns a + (1 - 2^-K) u, the lower end
+    of its top bracket.  Under L-inf these are `vorwalk`'s flags (t_hi = 1):
+    a walk that stays in the top bracket was certified there by its first
+    round, and a bisected one ends at t_hi = 1 only if its last probe, the
+    same point, held.  Conversely a walk that starts at the top and whose
+    origin owns that point stops there flagged.  So one owner query per
+    distinct walk at that point, formed bit for bit as the first round forms
+    it, gives the flags of the unseeded unif and rect walks exactly, ties
+    and rounding included.  A proj walk's seeds start it lower only at a
+    seed crossing below 1 - 2^-(K+1), past which the seed takes the point
+    from the origin unless the crossing lies in [1 - 2^-K, 1 - 2^-(K+1)) or
+    within rounding of it; only there can the query and the walk differ.
+    The halfway pull-back moves points, not flags.
     """
     design = _as_design(design)
     origins, directions, rows, _ = _walk_batch(design, count, strategy, metric, None, rng)

@@ -15,8 +15,9 @@ def test_frozen_values_345_triangle():
 
 def test_matches_scipy_minkowski():
     # `distance` is bit for bit the arithmetic of `nearest_batch`'s query, so
-    # a pair of distances decides what a query would (the walk's upper ends
-    # rest on this).  NumPy's pairwise `.sum` rounds differently from P = 8
+    # a pair of distances decides what a query would (the walk's L-inf upper
+    # ends rest on this, and `nn_index` promises it under every metric).
+    # NumPy's pairwise `.sum` rounds differently from P = 8
     rng = np.random.default_rng(11)
     for dim in (1, 6, 7, 8, 10, 100, 101):
         queries = 3.0 * rng.random((30, dim)) - 1.0  # most lie outside the cube
